@@ -175,7 +175,7 @@ def _trace_json(trace) -> str:
 def _cmd_gaps(args) -> int:
     p, q = args.r
     if args.method in ("fast", "both"):
-        fast = gap_sequence_fast(p, q, args.terms)
+        fast = gap_sequence_fast(p, q, args.terms, fully_modular=True)
     if args.method in ("naive", "both"):
         naive = gap_sequence_naive(p, q, args.terms)
 
@@ -200,17 +200,18 @@ def _cmd_gaps(args) -> int:
         return 1 if mismatches else 0
 
     if args.method == "fast":
+        eps = fast.eps
         if args.format == "json":
             print(_trace_json(fast))
         elif args.format == "csv":
             print("n,c,e,eps")
             for i in range(fast.steps):
-                print(f"{i + 1},{fast.c[i]},{fast.e[i]},{format_value(fast.eps[i])}")
+                print(f"{i + 1},{fast.c[i]},{fast.e[i]},{format_value(eps[i])}")
         else:
             _print_table(
                 ["n", "c", "e", "eps"],
                 [
-                    [str(i + 1), str(fast.c[i]), str(fast.e[i]), format_value(fast.eps[i])]
+                    [str(i + 1), str(fast.c[i]), str(fast.e[i]), format_value(eps[i])]
                     for i in range(fast.steps)
                 ],
             )

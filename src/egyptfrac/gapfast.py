@@ -1,25 +1,37 @@
-"""Fast gap-sequence computation via modular residue chains.
+"""Fast gap-sequence computation: an exact prefix, then a modular residue chain.
 
-Computing the gap sequence of the pseudo-greedy expansion of p/q directly
-requires the exact d_n = q*a_1*...*a_{n-1}, which grows doubly
-exponentially.  This module instead recomputes, for each n, the residue of
-d_k along k = 1..n while only ever storing numbers modulo products of the
-small c-values.
+The pseudo-greedy expansion of p/q is driven by c_1 = p and d_1 = q: step n
+takes the centered residue e_n of d_n mod c_n in [-c_n/2, c_n/2), then
+d_{n+1} = d_n * ((d_n - e_n)/c_n + 1) and c_{n+1} = c_n - e_n.  The c_n stay
+small, but d_n = q*a_1*...*a_{n-1} grows doubly exponentially.  One loop
+therefore runs in two parts.
 
-Modulus bookkeeping (the load-bearing detail): at outer step n the pass
+Exact prefix: while d_n has at most ``EXACT_BITS`` bits it is kept whole, and
+a step is one remainder, one division and one multiplication.  Most pairs
+reach their first zero gap here.
+
+Modular suffix: from the first d_K past the budget on, d is no longer
+updated.  Each outer step n >= K instead runs the residue chain below along
+k = K..n, seeded with the last exact value d_K, and only ever stores numbers
+modulo products of the small c-values.  Step n's moduli involve c_n, which
+is unknown before step n runs, so the chain cannot be advanced
+incrementally: each outer step reruns it from d_K.
+
+Modulus bookkeeping (the load-bearing detail): at outer step n the chain
 carries d_k modulo M_k = c_k * c_{k+1} * ... * c_n -- including the leading
 factor c_k, not just the product from c_{k+1} on.  The integer d_k - e_k is
 exactly divisible by c_k, and both the dividend and the modulus M_k are
 multiples of c_k, so the canonical representative of (d_k - e_k) mod M_k is
 itself divisible by c_k; dividing it by c_k yields (d_k - e_k)/c_k modulo
 M_k / c_k = c_{k+1}...c_n, which is exactly the modulus the next step
-needs.  Without the extra factor the quotient would be undefined.
+needs.  Without the extra factor the quotient would be undefined.  The chain
+checks that divisibility at every link.
 
-Each outer step n therefore ends with d_n mod c_n, from which the centered
-residue e_n in [-c_n/2, c_n/2) and c_{n+1} = c_n - e_n follow.  The outer
-loop restarts from d_1 = q every time (cost O(n_max^2) big multiplications);
-an incremental scheme is not possible because step n's moduli involve c_n,
-which is unknown before step n runs.
+Forced-modular switch: ``fully_modular=True`` makes the exact prefix empty,
+so the chain is seeded with d_1 = q at every outer step and d_n is never
+formed.  The cross-checks against exact arithmetic (``verify_fast_vs_naive``
+and the CLI's ``gaps``) use it, because short traces never leave the exact
+prefix: with the default they would compare exact arithmetic with itself.
 """
 
 from __future__ import annotations
@@ -32,6 +44,9 @@ from .errors import NotReduced
 from .expansion import gap_sequence_naive
 
 __all__ = ["GapTrace", "gap_sequence_fast", "VerifyReport", "verify_fast_vs_naive"]
+
+# Largest bit length of d_n that the kernel keeps exact; read at call time.
+EXACT_BITS = 2048
 
 
 @dataclass(frozen=True)
@@ -46,19 +61,26 @@ class GapTrace:
     q: int
     c: list[int]
     e: list[int]
-    eps: list[Fraction]
     terminated: bool
     n0: int | None
     steps: int
 
+    @property
+    def eps(self) -> list[Fraction]:
+        """The gaps eps_n = e_n / c_n for n = 1..N, built on each access."""
+        return [Fraction(e, c) for e, c in zip(self.e, self.c)]
 
-def gap_sequence_fast(p: int, q: int, n_max: int, past_zero: int = 0) -> GapTrace:
+
+def gap_sequence_fast(
+    p: int, q: int, n_max: int, past_zero: int = 0, *, fully_modular: bool = False
+) -> GapTrace:
     """Gap sequence of the pseudo-greedy expansion of p/q, Algorithm-1 style.
 
     Stops at the first zero gap (``terminated=True``) or after ``n_max``
     steps.  ``past_zero`` extends a terminated trace by that many extra
     steps beyond the first zero, which property tests use to watch the zero
     persist; the zeros are genuinely recomputed, not assumed.
+    ``fully_modular`` skips the exact prefix (see the module docstring).
     """
     if p < 1 or q < 1:
         raise ValueError(f"p and q must be >= 1, got p={p}, q={q}")
@@ -69,51 +91,56 @@ def gap_sequence_fast(p: int, q: int, n_max: int, past_zero: int = 0) -> GapTrac
     if past_zero < 0:
         raise ValueError(f"past_zero must be >= 0, got {past_zero}")
 
+    budget = 0 if fully_modular else EXACT_BITS
     cs = [p]
     es: list[int] = []
     n0: int | None = None
+    limit = n_max
+    c = p
+    d = q  # exact d_n in the prefix; the seed d_K once the suffix starts
+    k0 = -1  # 0-based index of d_K, negative while d is exact
     n = 0
-    while True:
+    while n < limit:
         n += 1
-        if n0 is None:
-            if n > n_max:
-                break
-        elif n > n0 + past_zero:
-            break
-
-        cn = cs[-1]
-        # suffix[i] = cs[i] * cs[i+1] * ... * cs[n-1], i.e. M_{i+1}
-        suffix = [1] * (n + 1)
-        acc = 1
-        for i in range(n - 1, -1, -1):
-            acc *= cs[i]
-            suffix[i] = acc
-        t = q % suffix[0]
-        for k in range(n - 1):
-            u, rem = divmod((t - es[k]) % suffix[k], cs[k])
-            if rem:
-                raise AssertionError(
-                    f"modulus-chain violation at p={p} q={q} n={n} k={k + 1}: "
-                    "tracked residue of d_k - e_k is not divisible by c_k"
-                )
-            m = suffix[k + 1]
-            t = (t % m) * ((u + 1) % m) % m
+        if k0 < 0 and d.bit_length() <= budget:
+            t = d % c
+        else:
+            if k0 < 0:
+                k0 = n - 1
+            # suffix[i] = cs[k0 + i] * ... * cs[n - 1], i.e. M_{K+i}
+            suffix = [1] * (n - k0 + 1)
+            acc = 1
+            for i in range(n - 1, k0 - 1, -1):
+                acc *= cs[i]
+                suffix[i - k0] = acc
+            t = d % suffix[0]
+            for k in range(k0, n - 1):
+                u, rem = divmod((t - es[k]) % suffix[k - k0], cs[k])
+                if rem:
+                    raise AssertionError(
+                        f"modulus-chain violation at p={p} q={q} n={n} k={k + 1}: "
+                        "tracked residue of d_k - e_k is not divisible by c_k"
+                    )
+                t = t * (u + 1) % suffix[k - k0 + 1]
         # t is now d_n mod c_n; center it into [-c_n/2, c_n/2)
-        e = t - cn if 2 * t >= cn else t
+        e = t - c if 2 * t >= c else t
+        if k0 < 0:
+            d *= (d - e) // c + 1
+        c -= e
         es.append(e)
-        cs.append(cn - e)
+        cs.append(c)
         if e == 0 and n0 is None:
             n0 = n
+            limit = n + past_zero
 
     return GapTrace(
         p=p,
         q=q,
         c=cs,
         e=es,
-        eps=[Fraction(e_, c_) for e_, c_ in zip(es, cs)],
         terminated=n0 is not None,
         n0=n0,
-        steps=len(es),
+        steps=n,
     )
 
 
@@ -146,7 +173,7 @@ def verify_fast_vs_naive(q_max: int, prefix_cap: int) -> VerifyReport:
             if gcd(p, q) != 1:
                 continue
             report.pairs_checked += 1
-            fast = gap_sequence_fast(p, q, prefix_cap)
+            fast = gap_sequence_fast(p, q, prefix_cap, fully_modular=True)
             naive = gap_sequence_naive(p, q, prefix_cap)
             n_cmp = min(fast.steps, len(naive))
             for i in range(n_cmp):

@@ -88,6 +88,8 @@ def run_walks(
     block: int = 512,
 ) -> tuple[WalkStats, np.ndarray]:
     """Simulate walks and also return per-trial hitting steps (-1 = no hit)."""
+    if not math.isfinite(c0):
+        raise ValueError(f"c0 must be finite, got {c0}")
     if c0 < 1:
         raise ValueError(f"c0 must be >= 1, got {c0}")
     if not 1 <= trials < _TRIAL_CAP:

@@ -75,17 +75,24 @@ class TailDiagnosis:
     c_constant_after_zero: bool | None
 
 
+def _tail_start(es: list[int]) -> int | None:
+    """1-based first index of the all-nonnegative suffix of ``es``.
+
+    None when the last entry is negative; 1 when no entry is.
+    """
+    for i in range(len(es) - 1, -1, -1):
+        if es[i] < 0:
+            return None if i == len(es) - 1 else i + 2
+    return 1
+
+
 def diagnose_tail(trace: GapTrace) -> TailDiagnosis:
     es, cs = trace.e, trace.c
     if not es:
         raise ValueError("trace has no steps to diagnose")
-    last_neg = -1
-    for i, e in enumerate(es):
-        if e < 0:
-            last_neg = i
-    if last_neg == len(es) - 1:
+    t = _tail_start(es)
+    if t is None:
         return TailDiagnosis(None, None, None)
-    t = last_neg + 2  # 1-based first index of the all-nonnegative suffix
     tail_c = cs[t - 1 :]
     noninc = all(x >= y for x, y in zip(tail_c, tail_c[1:]))
     constant = None
@@ -102,7 +109,6 @@ def coprime_numerators(q: int) -> list[int]:
 
 def _scan_record(p: int, q: int, n_max: int) -> ScanRecord:
     trace = gap_sequence_fast(p, q, n_max)
-    diag = diagnose_tail(trace)
     return ScanRecord(
         p=p,
         q=q,
@@ -110,7 +116,7 @@ def _scan_record(p: int, q: int, n_max: int) -> ScanRecord:
         steps=trace.steps,
         max_c=max(trace.c),
         status="ZERO" if trace.terminated else "MAXITER",
-        tail_sign_index=diag.tail_start,
+        tail_sign_index=_tail_start(trace.e),
     )
 
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from egyptfrac.cli import main
 
 
@@ -255,6 +257,14 @@ class TestWalkCommand:
         lines = hits.read_text().splitlines()
         assert lines[0] == "trial,hit_step"
         assert len(lines) == 21
+
+    @pytest.mark.parametrize("c0", ["nan", "inf"])
+    def test_non_finite_start_rejected(self, capsys, c0):
+        code, out, err = run_cli(
+            capsys, "walk", "--c0", c0, "--steps", "5", "--trials", "2", "--seed", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error[ValueError]") and "c0" in err
 
     def test_boundary_start(self, capsys):
         code, out, _ = run_cli(

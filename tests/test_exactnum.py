@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from egyptfrac.errors import RadicandMismatch
@@ -50,12 +50,14 @@ class TestRatNearestInt:
         for _ in range(10**4):
             x = Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9))
             n = rat_nearest_int(x)
-            assert Fraction(-1, 2) <= n - x < Fraction(1, 2)
+            assert Fraction(-1, 2) < n - x <= Fraction(1, 2)
 
     @given(fractions_st)
+    @example(Fraction(1, 2))  # an exact tie rounds up: n - x = 1/2
+    @example(Fraction(-1, 2))
     def test_window_hypothesis(self, x):
         n = rat_nearest_int(x)
-        assert Fraction(-1, 2) <= n - x < Fraction(1, 2)
+        assert Fraction(-1, 2) < n - x <= Fraction(1, 2)
 
 
 class TestQuadArith:

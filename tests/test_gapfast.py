@@ -4,9 +4,26 @@ from math import gcd
 
 import pytest
 
+from egyptfrac import cli, gapfast
 from egyptfrac.errors import NotReduced
 from egyptfrac.expansion import gap_sequence_naive
 from egyptfrac.gapfast import gap_sequence_fast, verify_fast_vs_naive
+
+DEEP_PAIRS = [(185, 358), (367, 537), (3, 179), (149, 278), (293, 417), (437, 556)]
+
+
+def kernel_fields(trace):
+    return trace.c, trace.e, trace.n0, trace.steps
+
+
+def switch_step(p, q, budget):
+    """First step n whose d_n exceeds ``budget`` bits, from exact d_n."""
+    d = q
+    for n, step in enumerate(gap_sequence_naive(p, q, 64), start=1):
+        if d.bit_length() > budget:
+            return n
+        d *= (d - step.e) // step.c + 1
+    raise AssertionError(f"{p}/{q} stays within {budget} bits for 64 steps")
 
 
 class TestElevenTwentynine:
@@ -134,3 +151,77 @@ class TestVerifyFastVsNaive:
             verify_fast_vs_naive(0, 5)
         with pytest.raises(ValueError):
             verify_fast_vs_naive(5, 0)
+
+
+class TestExactPrefixMatchesModular:
+    """The default kernel (exact prefix, then a chain seeded from d_K) must
+    give the same trace as the forced fully modular route."""
+
+    def test_every_pair_up_to_q150(self):
+        for q in range(1, 151):
+            for p in range(1, q + 1):
+                if gcd(p, q) == 1:
+                    assert kernel_fields(gap_sequence_fast(p, q, 1000)) == kernel_fields(
+                        gap_sequence_fast(p, q, 1000, fully_modular=True)
+                    ), (p, q)
+
+    @pytest.mark.parametrize("p, q", DEEP_PAIRS)
+    def test_deep_pairs_past_zero(self, p, q):
+        t = gap_sequence_fast(p, q, 100, past_zero=3)
+        assert t.n0 >= 16 and t.steps == t.n0 + 3
+        assert kernel_fields(t) == kernel_fields(
+            gap_sequence_fast(p, q, 100, past_zero=3, fully_modular=True)
+        )
+
+    def test_default_budget_switches_inside_the_deepest_trace(self):
+        # 185/358 (n0 = 20) leaves the exact prefix well before its zero,
+        # so a scan exercises both parts and the seeding of the chain
+        assert 2 < switch_step(185, 358, gapfast.EXACT_BITS) < 20
+
+    @pytest.mark.parametrize("budget", [8, 64, None])
+    @pytest.mark.parametrize("p, q", [(185, 358), (367, 537), (11, 29), (499, 500)])
+    def test_n_max_on_either_side_of_the_switch(self, monkeypatch, budget, p, q):
+        if budget is None:
+            budget = gapfast.EXACT_BITS
+        monkeypatch.setattr(gapfast, "EXACT_BITS", budget)
+        k = switch_step(p, q, budget)
+        for n_max in range(max(1, k - 2), k + 3):
+            for past_zero in (0, 2):
+                assert kernel_fields(gap_sequence_fast(p, q, n_max, past_zero)) == kernel_fields(
+                    gap_sequence_fast(p, q, n_max, past_zero, fully_modular=True)
+                ), (n_max, past_zero)
+
+    @pytest.mark.parametrize("budget", [8, 64])
+    def test_small_budgets_switch_early(self, monkeypatch, budget):
+        monkeypatch.setattr(gapfast, "EXACT_BITS", budget)
+        for q in range(1, 80):
+            for p in range(1, q + 1):
+                if gcd(p, q) == 1:
+                    assert kernel_fields(gap_sequence_fast(p, q, 200, past_zero=2)) == kernel_fields(
+                        gap_sequence_fast(p, q, 200, past_zero=2, fully_modular=True)
+                    ), (p, q)
+        for p, q in DEEP_PAIRS:
+            assert kernel_fields(gap_sequence_fast(p, q, 100, past_zero=3)) == kernel_fields(
+                gap_sequence_fast(p, q, 100, past_zero=3, fully_modular=True)
+            ), (p, q)
+
+
+class TestCrossChecksStayModular:
+    def test_verify_and_gaps_force_the_modular_route(self, monkeypatch, capsys):
+        # comparing the default kernel with gap_sequence_naive would check
+        # exact arithmetic against itself on every prefix short of the switch
+        modular_flags = []
+        real = gapfast.gap_sequence_fast
+
+        def spy(*args, **kwargs):
+            modular_flags.append(kwargs.get("fully_modular", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gapfast, "gap_sequence_fast", spy)
+        monkeypatch.setattr(cli, "gap_sequence_fast", spy)
+        report = verify_fast_vs_naive(6, 5)
+        for method in ("both", "fast"):
+            assert cli.main(["gaps", "--r", "185/358", "--terms", "20", "--method", method]) == 0
+        capsys.readouterr()
+        assert report.ok and len(modular_flags) == report.pairs_checked + 2
+        assert all(modular_flags)

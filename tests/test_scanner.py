@@ -32,7 +32,7 @@ class TestDiagnoseTail:
 
     def test_alternating_signs_has_no_tail(self):
         synthetic = GapTrace(
-            p=5, q=9, c=[5, 4, 6, 5], e=[1, -2, 1, -1], eps=[],
+            p=5, q=9, c=[5, 4, 6, 5], e=[1, -2, 1, -1],
             terminated=False, n0=None, steps=4,
         )
         diag = diagnose_tail(synthetic)
@@ -41,7 +41,7 @@ class TestDiagnoseTail:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            diagnose_tail(GapTrace(1, 1, [1], [], [], False, None, 0))
+            diagnose_tail(GapTrace(1, 1, [1], [], False, None, 0))
 
     def test_tail_claim_rechecked_on_random_traces(self):
         for q in range(2, 60):
