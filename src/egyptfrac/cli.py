@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import EgyptError, IoError
-from .exactnum import format_value, parse_value, to_decimal
+from .exactnum import format_value, int_to_decimal_str, parse_value, to_decimal
 from .expansion import (
     DEFAULT_DIGIT_CAP,
     ExpansionKind,
@@ -72,7 +72,10 @@ def _opt(value, render=str) -> str:
 def _pretty(value) -> str:
     # tables show 4 rather than 4/1; machine formats keep canonical num/den
     if isinstance(value, Fraction):
-        return str(value)
+        num = int_to_decimal_str(value.numerator)
+        if value.denominator == 1:
+            return num
+        return f"{num}/{int_to_decimal_str(value.denominator)}"
     return format_value(value)
 
 
@@ -82,10 +85,10 @@ def _pretty(value) -> str:
 def _expansion_row(rec) -> dict:
     return {
         "n": rec.n,
-        "a": str(rec.a),
+        "a": int_to_decimal_str(rec.a),
         "x": format_value(rec.x),
         "c": None if rec.c is None else str(rec.c),
-        "d": None if rec.d is None else str(rec.d),
+        "d": None if rec.d is None else int_to_decimal_str(rec.d),
         "e": None if rec.e is None else str(rec.e),
         "eps": None if rec.eps is None else format_value(rec.eps),
     }
@@ -118,12 +121,12 @@ def _cmd_expand(args) -> int:
             [
                 [
                     str(rec.n),
-                    str(rec.a),
+                    int_to_decimal_str(rec.a),
                     _pretty(rec.x),
                     "" if rec.eps is None else _pretty(rec.eps),
                     _opt(rec.c),
                     _opt(rec.e),
-                    _opt(rec.d),
+                    _opt(rec.d, int_to_decimal_str),
                 ]
                 for rec in result.records
             ],
@@ -289,7 +292,7 @@ def _cmd_recover(args) -> int:
     rows = [
         {
             "n": rec.n,
-            "a": str(rec.a),
+            "a": int_to_decimal_str(rec.a),
             "x": format_value(rec.x),
             "delta": format_value(rec.delta),
             "threshold_met": rec.threshold_met,
@@ -311,7 +314,7 @@ def _cmd_recover(args) -> int:
             [
                 [
                     str(rec.n),
-                    str(rec.a),
+                    int_to_decimal_str(rec.a),
                     to_decimal(rec.delta, 10),
                     str(rec.threshold_met),
                 ]
@@ -327,10 +330,13 @@ def _cmd_recover(args) -> int:
 def _cmd_seq(args) -> int:
     if args.seq_kind == "sylvester":
         terms = sylvester_terms(args.m, args.terms)
-        rows = [{"n": i, "value": str(v)} for i, v in enumerate(terms, start=1)]
+        rows = [
+            {"n": i, "value": int_to_decimal_str(v)} for i, v in enumerate(terms, start=1)
+        ]
     elif args.seq_kind == "fib2":
         rows = [
-            {"n": n, "value": str(fib_pow2(n))} for n in range(1, args.terms + 1)
+            {"n": n, "value": int_to_decimal_str(fib_pow2(n))}
+            for n in range(1, args.terms + 1)
         ]
     else:  # growth
         est = growth_constant(args.m, args.depth)

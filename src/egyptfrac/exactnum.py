@@ -9,11 +9,21 @@ integer arithmetic, so every result is exact.
 
 The one global rounding convention, used everywhere in the package, is
 nearest-integer with ties toward +infinity: round(x) = floor(x + 1/2).
+
+Exact terms roughly square in size each step, so rendering them is a cost of
+its own: ``str(int)`` is quadratic in the number of digits and refuses values
+above the interpreter's int-to-string limit (4300 digits by default).
+:func:`int_to_decimal_str` renders integers above ``DECIMAL_PATH_BITS`` bits by
+divide and conquer in the ``decimal`` module instead, at maximum precision with
+``Inexact`` trapped, so a conversion that would round raises rather than print a
+wrong digit.  :func:`format_value` and :func:`to_decimal` go through it and
+render values of any size without ``sys.set_int_max_str_digits(0)``.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -35,8 +45,8 @@ __all__ = [
     "parse_value",
     "format_value",
     "decimal_digits",
+    "int_to_decimal_str",
 ]
-
 
 def rat_nearest_int(x: int | Fraction) -> int:
     """Nearest integer to a rational; exact ties round toward +infinity."""
@@ -307,10 +317,64 @@ def quad_arith(x: QuadraticValue, y: QuadraticValue, op: str) -> QuadraticValue:
     return fn(x, y)
 
 
+# Integers with more bits than this are rendered through ``decimal``; read at
+# call time.  Below 14,000 bits str() is faster and every value has fewer than
+# 4300 digits, so the interpreter's default int-to-string limit never applies.
+DECIMAL_PATH_BITS = 14_000
+_LEAF_BITS = 128  # pieces this small convert with Decimal(int) directly
+
+
+def int_to_decimal_str(n: int) -> str:
+    """Decimal text of an int, equal to ``str(n)`` for every size.
+
+    Large values are split at half their bit length, ``n = hi * 2**w + lo``,
+    and recombined in ``decimal`` arithmetic with memoised powers of two (the
+    subquadratic conversion CPython 3.12 adopted for ``str(int)``).  The
+    context has maximum precision and traps ``Inexact``, so every step is exact
+    or raises.
+    """
+    if n.bit_length() <= DECIMAL_PATH_BITS:
+        return str(n)
+    two = Decimal(2)
+    pow2: dict[int, Decimal] = {}
+
+    def w2pow(w: int) -> Decimal:
+        result = pow2.get(w)
+        if result is None:
+            if w <= _LEAF_BITS:
+                result = two**w
+            elif w - 1 in pow2:
+                result = pow2[w - 1] + pow2[w - 1]
+            else:
+                # smaller half first, so an odd w finds w - 1 memoised
+                half = w >> 1
+                result = w2pow(half) * w2pow(w - half)
+            pow2[w] = result
+        return result
+
+    def inner(m: int, w: int) -> Decimal:
+        if w <= _LEAF_BITS:
+            return Decimal(m)
+        w2 = w >> 1
+        hi = m >> w2
+        lo = m - (hi << w2)
+        return inner(lo, w2) + inner(hi, w - w2) * w2pow(w2)
+
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.Emin = MIN_EMIN
+        ctx.traps[Inexact] = True
+        result = inner(abs(n), n.bit_length())
+        if n < 0:
+            result = -result
+    return str(result)
+
+
 def _format_scaled(m: int, digits: int) -> str:
     sign = "-" if m < 0 else ""
     q, r = divmod(abs(m), 10**digits)
-    return f"{sign}{q}.{r:0{digits}d}"
+    return f"{sign}{int_to_decimal_str(q)}.{int_to_decimal_str(r).zfill(digits)}"
 
 
 def quad_to_decimal(x: QuadraticValue, digits: int) -> str:
@@ -377,14 +441,17 @@ def format_value(x) -> str:
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{int_to_decimal_str(x.numerator)}/{int_to_decimal_str(x.denominator)}"
     q = lcm(x.a.denominator, x.b.denominator)
     a_num = x.a.numerator * (q // x.a.denominator)
     b_num = x.b.numerator * (q // x.b.denominator)
     if b_num == 0:
-        return f"{a_num}/{q}"
+        return f"{int_to_decimal_str(a_num)}/{int_to_decimal_str(q)}"
     sgn = "+" if b_num > 0 else "-"
-    return f"({a_num}{sgn}{abs(b_num)} sqrt {x.rad})/{q}"
+    return (
+        f"({int_to_decimal_str(a_num)}{sgn}{int_to_decimal_str(abs(b_num))}"
+        f" sqrt {int_to_decimal_str(x.rad)})/{int_to_decimal_str(q)}"
+    )
 
 
 def decimal_digits(n: int) -> int:
@@ -392,8 +459,11 @@ def decimal_digits(n: int) -> int:
     n = abs(n)
     if n == 0:
         return 1
-    # 30103/100000 < log10(2): start from a guaranteed underestimate
-    d = ((n.bit_length() - 1) * 30103) // 100000 + 1
-    while 10**d <= n:
+    # 3010299956/10^10 < log10(2): start from a guaranteed underestimate,
+    # at most one digit short below 2**(10**10)
+    d = ((n.bit_length() - 1) * 3010299956) // 10**10 + 1
+    power = 10**d
+    while power <= n:
+        power *= 10
         d += 1
     return d

@@ -15,6 +15,7 @@ not parse back cleanly is reported as a corrupt checkpoint.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from math import gcd
@@ -195,12 +196,15 @@ def scan_conjecture(
 ) -> ScanSummary:
     """Scan all reduced p/q with q_min <= q <= q_max; write CSV, return summary.
 
-    ``progress`` may be a callable taking (q, records) for per-q reporting.
+    ``jobs`` worker processes share the work; more than ``os.cpu_count()`` is
+    rejected.  ``progress`` may be a callable taking (q, records) for per-q
+    reporting.
     """
     if q_min < 1 or q_max < q_min:
         raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}..{q_max}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cores = os.cpu_count() or 1
+    if not 1 <= jobs <= cores:
+        raise ValueError(f"jobs must be in [1, {cores}] (the CPU count), got {jobs}")
     out_path = Path(out_path)
     started = time.perf_counter()
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -289,7 +290,9 @@ class TestScanCommand:
         assert summary["pairs_total"] == summary["pairs_zero"]
         assert out_file.exists()
 
-    def test_byte_identical_across_jobs(self, capsys, tmp_path):
+    def test_byte_identical_across_jobs(self, capsys, tmp_path, monkeypatch):
+        # bytes must not depend on the worker count, even above this host's cores
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         f1, f2 = tmp_path / "one.csv", tmp_path / "two.csv"
         c1, out1, _ = run_cli(
             capsys, "scan", "--qmin", "1", "--qmax", "30", "--maxiter", "500",
@@ -304,6 +307,15 @@ class TestScanCommand:
         s1, s2 = json.loads(out1), json.loads(out2)
         s1.pop("wall_time_s"), s2.pop("wall_time_s")
         assert s1 == s2
+
+    def test_jobs_above_cpu_count_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, _, err = run_cli(
+            capsys, "scan", "--qmin", "1", "--qmax", "5", "--maxiter", "100",
+            "--out", str(tmp_path / "x.csv"), "--jobs", "3",
+        )
+        assert code == 1
+        assert err.startswith("error[ValueError]: jobs")
 
     def test_resume_flag(self, capsys, tmp_path):
         out_file = tmp_path / "scan.csv"

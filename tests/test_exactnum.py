@@ -1,15 +1,22 @@
+import decimal
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from egyptfrac import exactnum
+from egyptfrac.cli import main
 from egyptfrac.errors import RadicandMismatch
 from egyptfrac.exactnum import (
+    DECIMAL_PATH_BITS,
     QuadraticValue,
     decimal_digits,
     format_value,
+    int_to_decimal_str,
     nearest_int,
     parse_value,
     quad_arith,
@@ -17,6 +24,7 @@ from egyptfrac.exactnum import (
     quad_sign,
     quad_to_decimal,
     rat_nearest_int,
+    to_decimal,
 )
 
 from oracles import interval_nearest_int
@@ -263,3 +271,140 @@ class TestDecimalDigits:
     def test_matches_str(self, n):
         assert decimal_digits(n) == len(str(n))
         assert decimal_digits(-n) == len(str(n))
+
+    @pytest.mark.parametrize("k", [1, 4300, 10**5])
+    def test_power_of_ten_boundaries(self, k):
+        p = 10**k
+        assert decimal_digits(p - 1) == k
+        assert decimal_digits(p) == k + 1
+        assert decimal_digits(p + 1) == k + 1
+        assert decimal_digits(-p) == k + 1
+
+    # bit lengths where 30103/100000, a bound just above log10(2), used to
+    # overestimate the digit count of 2**m by one
+    @pytest.mark.parametrize("m", [13301, 26602, 37767, 39903])
+    def test_powers_of_two(self, m):
+        with str_limit(0):
+            assert decimal_digits(2**m) == len(str(2**m))
+            assert decimal_digits(2**m - 1) == len(str(2**m - 1))
+
+
+@contextmanager
+def str_limit(digits):
+    """Set the interpreter's int-to-string limit (0 lifts it), then restore it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _edge_ints():
+    out = [0, 1, -1]
+    for k in (1, 2, 4300, 4301, 6000):
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            out += [n, -n]
+    for w in (DECIMAL_PATH_BITS - 1, DECIMAL_PATH_BITS, DECIMAL_PATH_BITS + 1, 50_000):
+        for n in (2**w - 1, 2**w, 2**w + 1):
+            out += [n, -n]
+    return out
+
+
+class TestIntToDecimalStr:
+    def test_edges_match_str(self):
+        with str_limit(0):
+            for n in _edge_ints():
+                assert int_to_decimal_str(n) == str(n), n.bit_length()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 200_000), st.integers(0, 2**64), st.booleans(),
+    )
+    def test_random_sizes_match_str(self, bits, seed, negative):
+        n = random.Random(seed).getrandbits(bits)
+        if negative:
+            n = -n
+        with str_limit(0):
+            assert int_to_decimal_str(n) == str(n)
+
+    @given(st.integers(-(2**600), 2**600))
+    def test_decimal_path_on_small_values(self, n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactnum, "DECIMAL_PATH_BITS", 0)
+            assert int_to_decimal_str(n) == str(n)
+
+    def test_rounding_raises_instead_of_printing(self, monkeypatch):
+        # with too little precision the Inexact trap must fire
+        monkeypatch.setattr(exactnum, "MAX_PREC", 50)
+        with pytest.raises(decimal.Inexact):
+            int_to_decimal_str(3**20_000)
+
+    def test_default_limit_does_not_apply(self):
+        n = 7**30_000  # about 25k digits, above the 4300-digit default
+        with str_limit(4300):
+            with pytest.raises(ValueError):
+                str(n)
+            text = int_to_decimal_str(-n)
+        assert text[0] == "-" and len(text) == 1 + decimal_digits(n)
+
+
+class TestHugeValuesUnderDefaultLimit:
+    """Library rendering must not depend on the interpreter's str() limit."""
+
+    NUM = 3**45_000 + 1  # about 21.5k digits
+    DEN = 2**70_001 - 1  # about 21.1k digits, coprime to 3 and 7
+
+    def test_format_value(self):
+        num, den = self.NUM, self.DEN
+        with str_limit(0):
+            cases = [
+                (Fraction(num, den), f"{num}/{den}"),
+                (Fraction(-num), f"-{num}/1"),
+                (
+                    QuadraticValue(Fraction(num, 3), Fraction(-den, 7), 5),
+                    f"({num * 7}-{den * 3} sqrt 5)/21",
+                ),
+            ]
+        with str_limit(4300):
+            for x, expected in cases:
+                assert format_value(x) == expected
+
+    @pytest.mark.parametrize("x, digits", [
+        (Fraction(-NUM, 7), 3),
+        (Fraction(1, DEN), 30_000),  # over 8k fractional digits after the zeros
+    ])
+    def test_to_decimal(self, x, digits):
+        m = rat_nearest_int(x * 10**digits)
+        q, r = divmod(abs(m), 10**digits)
+        with str_limit(0):
+            expected = f"{'-' if m < 0 else ''}{q}.{r:0{digits}d}"
+        with str_limit(4300):
+            assert to_decimal(x, digits) == expected
+
+
+_CLI_CASES = [
+    pytest.param(["expand", "--r", "185/358", "--kind", "pseudo", "--terms", "14"],
+                 id="expand-rational"),
+    pytest.param(["expand", "--r", "(5-1 sqrt 5)/2", "--kind", "greedy", "--terms", "9"],
+                 id="expand-quadratic"),
+    pytest.param(["recover", "--sum", "(5-1 sqrt 5)/2", "--beta", "1/3", "--terms", "13"],
+                 id="recover-millin"),
+    pytest.param(["recover", "--sum", "1", "--beta", "1", "--terms", "12"],
+                 id="recover-sylvester"),
+    pytest.param(["seq", "sylvester", "--m", "1", "--terms", "14"], id="seq-sylvester"),
+    pytest.param(["seq", "fib2", "--terms", "16"], id="seq-fib2"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("argv", _CLI_CASES)
+def test_cli_bytes_unchanged_by_decimal_path(argv, fmt, capsys, monkeypatch):
+    argv = [*argv, "--format", fmt]
+    assert main(argv) == 0
+    default = capsys.readouterr()
+    monkeypatch.setattr(exactnum, "DECIMAL_PATH_BITS", 64)
+    assert main(argv) == 0
+    patched = capsys.readouterr()
+    assert patched.out == default.out
+    assert patched.err == default.err

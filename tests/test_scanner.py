@@ -1,7 +1,9 @@
+import os
 from math import gcd
 
 import pytest
 
+from egyptfrac import scanner
 from egyptfrac.errors import CorruptCheckpoint
 from egyptfrac.gapfast import GapTrace, gap_sequence_fast
 from egyptfrac.scanner import (
@@ -81,7 +83,9 @@ class TestScanConjecture:
         assert sum(summary.n0_histogram.values()) == summary.pairs_zero
         assert summary.max_c >= 19
 
-    def test_deterministic_across_jobs(self, tmp_path):
+    def test_deterministic_across_jobs(self, tmp_path, monkeypatch):
+        # bytes must not depend on the worker count, even above this host's cores
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         s1 = scan_conjecture(1, 40, 1000, out1, jobs=1)
         s2 = scan_conjecture(1, 40, 1000, out2, jobs=3)
@@ -164,6 +168,18 @@ class TestScanConjecture:
             scan_conjecture(5, 4, 100, tmp_path / "x.csv")
         with pytest.raises(ValueError):
             scan_conjecture(1, 5, 100, tmp_path / "x.csv", jobs=0)
+
+    def test_jobs_bounded_by_cpu_count(self, tmp_path, monkeypatch):
+        # the bound is checked before any worker process starts
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(scanner, "Pool", no_pool)
+        with pytest.raises(ValueError, match="jobs"):
+            scan_conjecture(1, 5, 100, tmp_path / "x.csv", jobs=3)
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCheckpointParser:
