@@ -3,6 +3,8 @@
 Subcommands: expand, gaps, scan, recover, seq, walk.  The default output is
 a human table; ``--format json`` emits JSON-lines and ``--format csv``
 comma-separated rows, both schema-stable (see the README format reference).
+Commands that print one row per term write their row dicts through ``_emit``;
+single-object outputs are printed directly.
 Exit codes: 0 success, 1 domain error (message names the error), 2 usage
 error.
 """
@@ -25,7 +27,7 @@ from .expansion import (
     expand,
     gap_sequence_naive,
 )
-from .gapfast import gap_sequence_fast
+from .gapfast import compare_fast_naive, gap_sequence_fast
 from .randwalk import run_walks
 from .recovery import recover_sequence
 from .scanner import scan_conjecture
@@ -69,6 +71,23 @@ def _opt(value, render=str) -> str:
     return "" if value is None else render(value)
 
 
+def _emit(fmt: str, columns: list[str], rows: list[dict], table=None) -> None:
+    """Write row dicts as JSON-lines, or their ``columns`` cells as CSV or a
+    table.  ``table()`` returns (headers, cells) for a human view instead; it
+    runs only for ``--format table``, so no other format pays for it."""
+    if fmt == "json":
+        for row in rows:
+            print(json.dumps(row))
+    elif fmt == "csv":
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(_opt(row[k]) for k in columns))
+    elif table is not None:
+        _print_table(*table())
+    else:
+        _print_table(columns, [[_opt(row[k]) for k in columns] for row in rows])
+
+
 def _pretty(value) -> str:
     # tables show 4 rather than 4/1; machine formats keep canonical num/den
     if isinstance(value, Fraction):
@@ -87,9 +106,9 @@ def _expansion_row(rec) -> dict:
         "n": rec.n,
         "a": int_to_decimal_str(rec.a),
         "x": format_value(rec.x),
-        "c": None if rec.c is None else str(rec.c),
+        "c": None if rec.c is None else int_to_decimal_str(rec.c),
         "d": None if rec.d is None else int_to_decimal_str(rec.d),
-        "e": None if rec.e is None else str(rec.e),
+        "e": None if rec.e is None else int_to_decimal_str(rec.e),
         "eps": None if rec.eps is None else format_value(rec.eps),
     }
 
@@ -104,33 +123,15 @@ def _cmd_expand(args) -> int:
         stop_at_first_zero=args.stop_at_zero,
     )
     rows = [_expansion_row(rec) for rec in result.records]
-    if args.format == "json":
-        for row in rows:
-            print(json.dumps(row))
-    elif args.format == "csv":
-        print("n,a,x,c,d,e,eps")
-        for row in rows:
-            print(
-                ",".join(
-                    _opt(row[k]) for k in ("n", "a", "x", "c", "d", "e", "eps")
-                )
-            )
-    else:
-        _print_table(
-            ["n", "a", "x", "eps", "c", "e", "d"],
-            [
-                [
-                    str(rec.n),
-                    int_to_decimal_str(rec.a),
-                    _pretty(rec.x),
-                    "" if rec.eps is None else _pretty(rec.eps),
-                    _opt(rec.c),
-                    _opt(rec.e),
-                    _opt(rec.d, int_to_decimal_str),
-                ]
-                for rec in result.records
-            ],
-        )
+
+    def table():
+        return ["n", "a", "x", "eps", "c", "e", "d"], [
+            [str(rec.n), row["a"], _pretty(rec.x), _opt(rec.eps, _pretty),
+             _opt(row["c"]), _opt(row["e"]), _opt(row["d"])]
+            for rec, row in zip(result.records, rows)
+        ]
+
+    _emit(args.format, ["n", "a", "x", "c", "d", "e", "eps"], rows, table)
     if result.status is ExpansionStatus.MAX_TERMS:
         print(
             f"NONTERMINATED: no exact end within {args.terms} terms",
@@ -166,8 +167,8 @@ def _trace_json(trace) -> str:
         {
             "p": trace.p,
             "q": trace.q,
-            "c": [str(c) for c in trace.c],
-            "e": [str(e) for e in trace.e],
+            "c": [int_to_decimal_str(c) for c in trace.c],
+            "e": [int_to_decimal_str(e) for e in trace.e],
             "n0": trace.n0,
             "steps": trace.steps,
             "terminated": trace.terminated,
@@ -183,12 +184,7 @@ def _cmd_gaps(args) -> int:
         naive = gap_sequence_naive(p, q, args.terms)
 
     if args.method == "both":
-        n_cmp = min(fast.steps, len(naive))
-        mismatches = [
-            i + 1
-            for i in range(n_cmp)
-            if fast.c[i] != naive[i].c or fast.e[i] != naive[i].e
-        ]
+        n_cmp, mismatches = compare_fast_naive(fast, naive)
         report = {
             "p": p,
             "q": q,
@@ -202,47 +198,22 @@ def _cmd_gaps(args) -> int:
             print(f"compared {n_cmp} terms: " + ("agree" if not mismatches else f"MISMATCH at {mismatches}"))
         return 1 if mismatches else 0
 
-    if args.method == "fast":
-        eps = fast.eps
-        if args.format == "json":
-            print(_trace_json(fast))
-        elif args.format == "csv":
-            print("n,c,e,eps")
-            for i in range(fast.steps):
-                print(f"{i + 1},{fast.c[i]},{fast.e[i]},{format_value(eps[i])}")
-        else:
-            _print_table(
-                ["n", "c", "e", "eps"],
-                [
-                    [str(i + 1), str(fast.c[i]), str(fast.e[i]), format_value(eps[i])]
-                    for i in range(fast.steps)
-                ],
-            )
-            print(
-                f"terminated={fast.terminated} n0={_opt(fast.n0)} steps={fast.steps}",
-                file=sys.stderr,
-            )
+    if args.method == "fast" and args.format == "json":
+        print(_trace_json(fast))
         return 0
-
-    # naive
-    if args.format == "json":
-        for i, step in enumerate(naive, start=1):
-            print(
-                json.dumps(
-                    {"n": i, "c": str(step.c), "e": str(step.e), "eps": format_value(step.eps)}
-                )
-            )
-    elif args.format == "csv":
-        print("n,c,e,eps")
-        for i, step in enumerate(naive, start=1):
-            print(f"{i},{step.c},{step.e},{format_value(step.eps)}")
-    else:
-        _print_table(
-            ["n", "c", "e", "eps"],
-            [
-                [str(i), str(s.c), str(s.e), format_value(s.eps)]
-                for i, s in enumerate(naive, start=1)
-            ],
+    # one row builder for both methods; a fast trace's c also holds c_{N+1},
+    # which zip drops
+    steps = zip(fast.c, fast.e) if args.method == "fast" else [(s.c, s.e) for s in naive]
+    rows = [
+        {"n": n, "c": int_to_decimal_str(c), "e": int_to_decimal_str(e),
+         "eps": format_value(Fraction(e, c))}
+        for n, (c, e) in enumerate(steps, start=1)
+    ]
+    _emit(args.format, ["n", "c", "e", "eps"], rows)
+    if args.method == "fast" and args.format == "table":
+        print(
+            f"terminated={fast.terminated} n0={_opt(fast.n0)} steps={fast.steps}",
+            file=sys.stderr,
         )
     return 0
 
@@ -299,28 +270,14 @@ def _cmd_recover(args) -> int:
         }
         for rec in records
     ]
-    if args.format == "json":
-        for row in rows:
-            print(json.dumps(row))
-    elif args.format == "csv":
-        print("n,a,x,delta,threshold_met")
-        for row in rows:
-            print(
-                f"{row['n']},{row['a']},{row['x']},{row['delta']},{row['threshold_met']}"
-            )
-    else:
-        _print_table(
-            ["n", "a", "delta~", "threshold_met"],
-            [
-                [
-                    str(rec.n),
-                    int_to_decimal_str(rec.a),
-                    to_decimal(rec.delta, 10),
-                    str(rec.threshold_met),
-                ]
-                for rec in records
-            ],
-        )
+
+    def table():
+        return ["n", "a", "delta~", "threshold_met"], [
+            [str(rec.n), row["a"], to_decimal(rec.delta, 10), str(rec.threshold_met)]
+            for rec, row in zip(records, rows)
+        ]
+
+    _emit(args.format, ["n", "a", "x", "delta", "threshold_met"], rows, table)
     return 0
 
 
@@ -328,17 +285,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    if args.seq_kind == "sylvester":
-        terms = sylvester_terms(args.m, args.terms)
-        rows = [
-            {"n": i, "value": int_to_decimal_str(v)} for i, v in enumerate(terms, start=1)
-        ]
-    elif args.seq_kind == "fib2":
-        rows = [
-            {"n": n, "value": int_to_decimal_str(fib_pow2(n))}
-            for n in range(1, args.terms + 1)
-        ]
-    else:  # growth
+    if args.seq_kind == "growth":
         est = growth_constant(args.m, args.depth)
         if args.format == "json":
             print(
@@ -357,11 +304,12 @@ def _cmd_seq(args) -> int:
                 f"  (|error| <= {est.residual_bound})"
             )
         return 0
-    if args.format == "json":
-        for row in rows:
-            print(json.dumps(row))
-    else:
-        _print_table(["n", "value"], [[str(r["n"]), r["value"]] for r in rows])
+    if args.seq_kind == "sylvester":
+        values = sylvester_terms(args.m, args.terms)
+    else:  # fib2, one term at a time
+        values = (fib_pow2(n) for n in range(1, args.terms + 1))
+    rows = [{"n": n, "value": int_to_decimal_str(v)} for n, v in enumerate(values, start=1)]
+    _emit(args.format, ["n", "value"], rows)
     return 0
 
 
@@ -486,8 +434,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # expansions legitimately print huge integers
+    # huge --r input and integer JSON fields need int()/str() past the
+    # interpreter-wide digit limit; lift it for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

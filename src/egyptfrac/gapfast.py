@@ -43,7 +43,10 @@ from math import gcd
 from .errors import NotReduced
 from .expansion import gap_sequence_naive
 
-__all__ = ["GapTrace", "gap_sequence_fast", "VerifyReport", "verify_fast_vs_naive"]
+__all__ = [
+    "GapTrace", "gap_sequence_fast", "compare_fast_naive", "VerifyReport",
+    "verify_fast_vs_naive",
+]
 
 # Largest bit length of d_n that the kernel keeps exact; read at call time.
 EXACT_BITS = 2048
@@ -144,6 +147,17 @@ def gap_sequence_fast(
     )
 
 
+def compare_fast_naive(fast: GapTrace, naive: list) -> tuple[int, list[int]]:
+    """Compare (c_n, e_n) of a fast trace with ``gap_sequence_naive`` steps.
+
+    Returns the number of terms compared, min(fast.steps, len(naive)), and
+    the 1-based steps where the two differ; an empty list means agreement.
+    """
+    n_cmp = min(fast.steps, len(naive))
+    return n_cmp, [i + 1 for i in range(n_cmp)
+                   if fast.c[i] != naive[i].c or fast.e[i] != naive[i].e]
+
+
 @dataclass
 class VerifyReport:
     q_max: int
@@ -175,16 +189,10 @@ def verify_fast_vs_naive(q_max: int, prefix_cap: int) -> VerifyReport:
             report.pairs_checked += 1
             fast = gap_sequence_fast(p, q, prefix_cap, fully_modular=True)
             naive = gap_sequence_naive(p, q, prefix_cap)
-            n_cmp = min(fast.steps, len(naive))
-            for i in range(n_cmp):
-                if fast.c[i] != naive[i].c or fast.e[i] != naive[i].e:
-                    report.mismatches.append(
-                        (
-                            p,
-                            q,
-                            f"step {i + 1}: fast (c={fast.c[i]}, e={fast.e[i]}) "
-                            f"!= naive (c={naive[i].c}, e={naive[i].e})",
-                        )
-                    )
-                    break
+            _, bad = compare_fast_naive(fast, naive)
+            if bad:
+                i = bad[0] - 1
+                detail = (f"step {i + 1}: fast (c={fast.c[i]}, e={fast.e[i]}) "
+                          f"!= naive (c={naive[i].c}, e={naive[i].e})")
+                report.mismatches.append((p, q, detail))
     return report

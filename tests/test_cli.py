@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from egyptfrac import cli, gapfast
 from egyptfrac.cli import main
 
 
@@ -71,6 +72,23 @@ class TestExpandCommand:
         )
         assert code == 0
         assert "a" in out.splitlines()[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_view_only_for_table(self, capsys, monkeypatch, fmt):
+        # machine formats render x and eps once each, through format_value;
+        # the table's own view (_pretty) is never built for them
+        def no_table(value):
+            raise AssertionError("table view built for --format " + fmt)
+
+        rendered = []
+        real = cli.format_value
+        monkeypatch.setattr(cli, "_pretty", no_table)
+        monkeypatch.setattr(cli, "format_value", lambda v: rendered.append(v) or real(v))
+        code, _, _ = run_cli(
+            capsys, "expand", "--r", "11/29", "--kind", "pseudo", "--terms", "6",
+            "--format", fmt,
+        )
+        assert code == 0 and len(rendered) == 2 * 6
 
     def test_quadratic_input(self, capsys):
         code, out, _ = run_cli(
@@ -176,6 +194,52 @@ class TestGapsCommand:
         assert json.loads(out)["q"] == 1
 
 
+def perturbed_naive(real, pair=(11, 29), step=3):
+    """gap_sequence_naive with e_step of one pair off by one."""
+
+    def naive(p, q, *args, **kwargs):
+        steps = real(p, q, *args, **kwargs)
+        if (p, q) == pair:
+            steps[step - 1] = steps[step - 1]._replace(e=steps[step - 1].e + 1)
+        return steps
+
+    return naive
+
+
+class TestBothMismatch:
+    """An injected disagreement must surface in gaps --method both and in
+    verify_fast_vs_naive, which share one comparison."""
+
+    def test_json_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gap_sequence_naive", perturbed_naive(cli.gap_sequence_naive))
+        code, out, _ = run_cli(
+            capsys, "gaps", "--r", "11/29", "--terms", "12", "--method", "both",
+            "--format", "json",
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["mismatch_indices"] == [3]
+        assert report["compared_terms"] == 5 and report["agree"] is False
+
+    def test_text_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gap_sequence_naive", perturbed_naive(cli.gap_sequence_naive))
+        code, out, _ = run_cli(
+            capsys, "gaps", "--r", "11/29", "--terms", "12", "--method", "both",
+        )
+        assert code == 1
+        assert out == "compared 5 terms: MISMATCH at [3]\n"
+
+    def test_verify_message(self, monkeypatch):
+        monkeypatch.setattr(
+            gapfast, "gap_sequence_naive", perturbed_naive(gapfast.gap_sequence_naive)
+        )
+        report = gapfast.verify_fast_vs_naive(29, 8)
+        assert report.pairs_checked == 270 and not report.ok
+        assert report.mismatches == [
+            (11, 29, "step 3: fast (c=19, e=-1) != naive (c=19, e=0)")
+        ]
+
+
 class TestRecoverCommand:
     def test_millin_quoted_value(self, capsys):
         code, out, _ = run_cli(
@@ -223,6 +287,18 @@ class TestSeqCommand:
         assert code == 0
         rows = [json.loads(l) for l in out.strip().splitlines()]
         assert [r["value"] for r in rows] == ["1", "3", "21", "987", "2178309"]
+
+    def test_sylvester_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "seq", "sylvester", "--m", "1", "--terms", "5", "--format", "csv",
+        )
+        assert code == 0
+        assert out == "n,value\n1,2\n2,3\n3,7\n4,43\n5,1807\n"
+
+    def test_fib2_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "seq", "fib2", "--terms", "4", "--format", "csv")
+        assert code == 0
+        assert out == "n,value\n1,1\n2,3\n3,21\n4,987\n"
 
     def test_growth_table(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "growth", "--m", "1", "--depth", "8")
@@ -331,6 +407,44 @@ class TestScanCommand:
         assert rows[-1].split(",")[1] == "15"
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter digit limit"
+)
+class TestIntDigitLimit:
+    """main lifts the interpreter-wide int/str digit limit for its own call
+    only: huge input parses, and the caller's limit is back afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["seq", "sylvester", "--m", "1", "--terms", "3"], 0),
+            (["recover", "--sum", "3", "--beta", "0", "--terms", "2"], 1),
+            (["expand", "--nope"], 2),
+        ],
+    )
+    def test_limit_restored(self, capsys, argv, want):
+        assert run_cli(capsys, *argv)[0] == want
+        assert sys.get_int_max_str_digits() == 4300
+
+    def test_huge_input_parses(self, capsys):
+        den = "1" + "0" * 4998 + "7"
+        code, out, _ = run_cli(
+            capsys, "expand", "--r", f"1/{den}", "--kind", "greedy", "--terms", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        row = json.loads(out)
+        assert row["a"] == den and row["x"] == f"1/{den}"
+        assert sys.get_int_max_str_digits() == 4300
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "expand", "--nope", "1")[0] == 2
@@ -371,3 +485,122 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "--continue-past-zero" in proc.stdout
+
+
+def lines(*rows):
+    # exact expected stdout; table rows keep their trailing padding
+    return "".join(row + "\n" for row in rows)
+
+
+class TestPinnedOutput:
+    """Exact stdout of command x format pairs, pinned byte for byte."""
+
+    GAP_ROWS = (
+        "1  11  -4  -4/11",
+        "2  15  -4  -4/15",
+        "3  19  -1  -1/19",
+        "4  20  4   1/5  ",
+        "5  16  0   0/1  ",
+    )
+
+    def test_gaps_fast_csv(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gaps", "--r", "11/29", "--terms", "50", "--method", "fast",
+            "--format", "csv",
+        )
+        assert code == 0 and err == ""
+        assert out == lines(
+            "n,c,e,eps",
+            "1,11,-4,-4/11",
+            "2,15,-4,-4/15",
+            "3,19,-1,-1/19",
+            "4,20,4,1/5",
+            "5,16,0,0/1",
+        )
+
+    def test_gaps_fast_table(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gaps", "--r", "11/29", "--terms", "50", "--method", "fast",
+            "--format", "table",
+        )
+        assert code == 0
+        assert out == lines("n  c   e   eps  ", "-  --  --  -----", *self.GAP_ROWS)
+        assert err == "terminated=True n0=5 steps=5\n"
+
+    def test_gaps_naive_json(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gaps", "--r", "11/29", "--terms", "5", "--method", "naive",
+            "--format", "json",
+        )
+        assert code == 0 and err == ""
+        assert out == lines(
+            '{"n": 1, "c": "11", "e": "-4", "eps": "-4/11"}',
+            '{"n": 2, "c": "15", "e": "-4", "eps": "-4/15"}',
+            '{"n": 3, "c": "19", "e": "-1", "eps": "-1/19"}',
+            '{"n": 4, "c": "20", "e": "4", "eps": "1/5"}',
+            '{"n": 5, "c": "16", "e": "0", "eps": "0/1"}',
+        )
+
+    def test_gaps_naive_table(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gaps", "--r", "11/29", "--terms", "5", "--method", "naive",
+        )
+        assert code == 0 and err == ""
+        assert out == lines("n  c   e   eps  ", "-  --  --  -----", *self.GAP_ROWS)
+
+    def test_recover_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "recover", "--sum", "(5-1 sqrt 5)/2", "--beta", "1/3",
+            "--terms", "3", "--format", "csv",
+        )
+        assert code == 0
+        assert out == lines(
+            "n,a,x,delta,threshold_met",
+            "1,1,(5-1 sqrt 5)/2,(-5+3 sqrt 5)/30,False",
+            "2,3,(3-1 sqrt 5)/2,(-7+3 sqrt 5)/6,False",
+            "3,21,(7-3 sqrt 5)/6,(-61+27 sqrt 5)/6,True",
+        )
+
+    def test_recover_table(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "recover", "--sum", "1", "--beta", "1", "--terms", "4",
+        )
+        assert code == 0
+        assert out == lines(
+            "n  a   delta~        threshold_met",
+            "-  --  ------------  -------------",
+            "1  2   0.0000000000  False        ",
+            "2  3   0.0000000000  False        ",
+            "3  7   0.0000000000  False        ",
+            "4  43  0.0000000000  True         ",
+        )
+
+    def test_seq_sylvester_table(self, capsys):
+        code, out, _ = run_cli(capsys, "seq", "sylvester", "--m", "1", "--terms", "5")
+        assert code == 0
+        assert out == lines(
+            "n  value", "-  -----", "1  2    ", "2  3    ", "3  7    ", "4  43   ",
+            "5  1807 ",
+        )
+
+    def test_seq_fib2_table(self, capsys):
+        code, out, _ = run_cli(capsys, "seq", "fib2", "--terms", "4", "--format", "table")
+        assert code == 0
+        assert out == lines(
+            "n  value", "-  -----", "1  1    ", "2  3    ", "3  21   ", "4  987  ",
+        )
+
+    def test_expand_quadratic_table(self, capsys):
+        code, out, err = run_cli(
+            capsys, "expand", "--r", "(5-1 sqrt 5)/2", "--kind", "greedy", "--terms", "4",
+        )
+        assert code == 0
+        assert out == lines(
+            "n  a    x                  eps  c  e  d",
+            "-  ---  -----------------  ---  -  -  -",
+            "1  1    (5-1 sqrt 5)/2                 ",
+            "2  3    (3-1 sqrt 5)/2                 ",
+            "3  21   (7-3 sqrt 5)/6                 ",
+            "4  987  (47-21 sqrt 5)/42              ",
+        )
+        assert err == "NONTERMINATED: no exact end within 4 terms\n"
