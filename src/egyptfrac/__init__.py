@@ -31,11 +31,6 @@ from .exactnum import (
     format_value,
     nearest_int,
     parse_value,
-    quad_arith,
-    quad_nearest_int,
-    quad_sign,
-    quad_to_decimal,
-    rat_nearest_int,
     sign_of,
     to_decimal,
 )
@@ -71,7 +66,7 @@ from .scanner import (
     diagnose_tail,
     scan_conjecture,
 )
-from .randwalk import GENERATOR_ID, WalkStats, analytic_drift, simulate_walk
+from .randwalk import GENERATOR_ID, WalkStats, analytic_drift
 
 __all__ = [
     "__version__",
@@ -89,15 +84,10 @@ __all__ = [
     "IoError",
     # exact numbers
     "QuadraticValue",
-    "rat_nearest_int",
-    "quad_nearest_int",
     "nearest_int",
     "floor_value",
     "ceil_value",
-    "quad_sign",
     "sign_of",
-    "quad_arith",
-    "quad_to_decimal",
     "to_decimal",
     "parse_value",
     "format_value",
@@ -137,5 +127,4 @@ __all__ = [
     "GENERATOR_ID",
     "WalkStats",
     "analytic_drift",
-    "simulate_walk",
 ]

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import __version__
@@ -71,10 +72,11 @@ def _opt(value, render=str) -> str:
     return "" if value is None else render(value)
 
 
-def _emit(fmt: str, columns: list[str], rows: list[dict], table=None) -> None:
+def _emit(fmt: str, columns: list[str], rows: Iterable[dict], table=None) -> None:
     """Write row dicts as JSON-lines, or their ``columns`` cells as CSV or a
     table.  ``table()`` returns (headers, cells) for a human view instead; it
-    runs only for ``--format table``, so no other format pays for it."""
+    runs only for ``--format table``, and then ``rows`` is never iterated, so
+    a lazy ``rows`` builds no dict that the table does not show."""
     if fmt == "json":
         for row in rows:
             print(json.dumps(row))
@@ -122,15 +124,15 @@ def _cmd_expand(args) -> int:
         digit_cap=digit_cap,
         stop_at_first_zero=args.stop_at_zero,
     )
-    rows = [_expansion_row(rec) for rec in result.records]
-
     def table():
         return ["n", "a", "x", "eps", "c", "e", "d"], [
-            [str(rec.n), row["a"], _pretty(rec.x), _opt(rec.eps, _pretty),
-             _opt(row["c"]), _opt(row["e"]), _opt(row["d"])]
-            for rec, row in zip(result.records, rows)
+            [str(rec.n), int_to_decimal_str(rec.a), _pretty(rec.x), _opt(rec.eps, _pretty),
+             _opt(rec.c, int_to_decimal_str), _opt(rec.e, int_to_decimal_str),
+             _opt(rec.d, int_to_decimal_str)]
+            for rec in result.records
         ]
 
+    rows = (_expansion_row(rec) for rec in result.records)
     _emit(args.format, ["n", "a", "x", "c", "d", "e", "eps"], rows, table)
     if result.status is ExpansionStatus.MAX_TERMS:
         print(
@@ -260,7 +262,15 @@ def _cmd_scan(args) -> int:
 
 def _cmd_recover(args) -> int:
     records = recover_sequence(args.sum, args.beta, args.terms)
-    rows = [
+
+    def table():
+        return ["n", "a", "delta~", "threshold_met"], [
+            [str(rec.n), int_to_decimal_str(rec.a), to_decimal(rec.delta, 10),
+             str(rec.threshold_met)]
+            for rec in records
+        ]
+
+    rows = (
         {
             "n": rec.n,
             "a": int_to_decimal_str(rec.a),
@@ -269,14 +279,7 @@ def _cmd_recover(args) -> int:
             "threshold_met": rec.threshold_met,
         }
         for rec in records
-    ]
-
-    def table():
-        return ["n", "a", "delta~", "threshold_met"], [
-            [str(rec.n), row["a"], to_decimal(rec.delta, 10), str(rec.threshold_met)]
-            for rec, row in zip(records, rows)
-        ]
-
+    )
     _emit(args.format, ["n", "a", "x", "delta", "threshold_met"], rows, table)
     return 0
 
@@ -304,6 +307,9 @@ def _cmd_seq(args) -> int:
                 f"  (|error| <= {est.residual_bound})"
             )
         return 0
+    # fib2 builds its terms one at a time: check the count here, once for both
+    if args.terms < 1:
+        raise ValueError(f"count must be >= 1, got {args.terms}")
     if args.seq_kind == "sylvester":
         values = sylvester_terms(args.m, args.terms)
     else:  # fib2, one term at a time

@@ -32,29 +32,16 @@ from .errors import RadicandMismatch
 __all__ = [
     "QuadraticValue",
     "ExactValue",
-    "rat_nearest_int",
-    "quad_nearest_int",
     "nearest_int",
     "floor_value",
     "ceil_value",
-    "quad_sign",
     "sign_of",
-    "quad_arith",
-    "quad_to_decimal",
     "to_decimal",
     "parse_value",
     "format_value",
     "decimal_digits",
     "int_to_decimal_str",
 ]
-
-def rat_nearest_int(x: int | Fraction) -> int:
-    """Nearest integer to a rational; exact ties round toward +infinity."""
-    if isinstance(x, int):
-        return x
-    # floor(x + 1/2) via one integer floor division (denominator is > 0)
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
 
 def _rat_sign(x: int | Fraction) -> int:
     if x > 0:
@@ -236,11 +223,6 @@ class QuadraticValue:
 ExactValue = Fraction | QuadraticValue
 
 
-def quad_sign(x: QuadraticValue) -> int:
-    """Sign (-1, 0, +1) of a quadratic value, without floating point."""
-    return x.sign()
-
-
 def sign_of(x) -> int:
     """Sign of an int, Fraction, or QuadraticValue."""
     if isinstance(x, QuadraticValue):
@@ -271,18 +253,20 @@ def _quad_floor(x: QuadraticValue) -> int:
     return n
 
 
-def quad_nearest_int(x: QuadraticValue) -> int:
-    """Nearest integer to a quadratic value, ties toward +infinity."""
-    if x.b == 0:
-        return rat_nearest_int(x.a)
-    return _quad_floor(x + Fraction(1, 2))
-
-
 def nearest_int(x) -> int:
-    """floor(x + 1/2) for an int, Fraction, or QuadraticValue."""
+    """Nearest integer floor(x + 1/2) to an int, Fraction, or QuadraticValue.
+
+    Exact ties round toward +infinity.  A quadratic value with b = 0 is
+    rounded as the rational a.
+    """
+    if isinstance(x, int):
+        return x
     if isinstance(x, QuadraticValue):
-        return quad_nearest_int(x)
-    return rat_nearest_int(x)
+        if x.b:
+            return _quad_floor(x + Fraction(1, 2))
+        x = x.a
+    # floor(x + 1/2) via one integer floor division (denominator is > 0)
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 def floor_value(x) -> int:
@@ -294,27 +278,6 @@ def floor_value(x) -> int:
 
 def ceil_value(x) -> int:
     return -floor_value(-x)
-
-
-_ARITH_OPS = {
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "mul": lambda x, y: x * y,
-    "div": lambda x, y: x / y,
-}
-
-
-def quad_arith(x: QuadraticValue, y: QuadraticValue, op: str) -> QuadraticValue:
-    """Field arithmetic on two quadratic values sharing a radicand.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``, ``div``.  Division is exact,
-    via multiplication by the conjugate.
-    """
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return fn(x, y)
 
 
 # Integers with more bits than this are rendered through ``decimal``; read at
@@ -371,32 +334,22 @@ def int_to_decimal_str(n: int) -> str:
     return str(result)
 
 
-def _format_scaled(m: int, digits: int) -> str:
-    sign = "-" if m < 0 else ""
-    q, r = divmod(abs(m), 10**digits)
-    return f"{sign}{int_to_decimal_str(q)}.{int_to_decimal_str(r).zfill(digits)}"
-
-
-def quad_to_decimal(x: QuadraticValue, digits: int) -> str:
-    """Correctly rounded decimal expansion of a quadratic value.
+def to_decimal(x, digits: int) -> str:
+    """Correctly rounded decimal expansion of an int, Fraction, or QuadraticValue.
 
     ``digits`` fractional digits are produced by exact scaling: the value is
-    multiplied by 10^digits and rounded to the nearest integer (ties toward
-    +infinity, the package-wide convention).
+    multiplied by 10^digits and rounded with :func:`nearest_int` (ties toward
+    +infinity, the package-wide convention).  Any other input is first
+    converted with ``Fraction(x)``.
     """
     if not 1 <= digits <= 10**6:
         raise ValueError(f"digits must be in [1, 10^6], got {digits}")
-    m = quad_nearest_int(x * (10**digits))
-    return _format_scaled(m, digits)
-
-
-def to_decimal(x, digits: int) -> str:
-    """Decimal rendering of an int, Fraction, or QuadraticValue."""
-    if isinstance(x, QuadraticValue):
-        return quad_to_decimal(x, digits)
-    if not 1 <= digits <= 10**6:
-        raise ValueError(f"digits must be in [1, 10^6], got {digits}")
-    return _format_scaled(rat_nearest_int(Fraction(x) * 10**digits), digits)
+    if not isinstance(x, QuadraticValue):
+        x = Fraction(x)
+    m = nearest_int(x * 10**digits)
+    q, r = divmod(abs(m), 10**digits)
+    sign = "-" if m < 0 else ""
+    return f"{sign}{int_to_decimal_str(q)}.{int_to_decimal_str(r).zfill(digits)}"
 
 
 _INT_RE = re.compile(r"^\s*([+-]?\d+)\s*$")

@@ -34,7 +34,7 @@ _U64_MASK = (1 << 64) - 1
 _TRIAL_CAP = 1 << 32
 _STEP_CAP = 1 << 32
 
-__all__ = ["GENERATOR_ID", "WalkStats", "analytic_drift", "simulate_walk", "run_walks"]
+__all__ = ["GENERATOR_ID", "WalkStats", "analytic_drift", "run_walks"]
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,12 @@ def run_walks(
     seed: int,
     block: int = 512,
 ) -> tuple[WalkStats, np.ndarray]:
-    """Simulate walks and also return per-trial hitting steps (-1 = no hit)."""
+    """Deterministic Monte-Carlo run of the multiplicative walk model.
+
+    Returns the summary statistics and the per-trial hitting steps (-1 = no
+    hit).  ``block`` is the number of steps drawn at a time; it changes no
+    drawn sample.
+    """
     if not math.isfinite(c0):
         raise ValueError(f"c0 must be finite, got {c0}")
     if c0 < 1:
@@ -159,9 +164,3 @@ def run_walks(
         generator_id=GENERATOR_ID,
     )
     return stats, hit_step
-
-
-def simulate_walk(c0: float, steps: int, trials: int, seed: int) -> WalkStats:
-    """Deterministic Monte-Carlo run of the multiplicative walk model."""
-    stats, _ = run_walks(c0, steps, trials, seed)
-    return stats

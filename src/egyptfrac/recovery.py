@@ -60,29 +60,23 @@ class CharacterizationCheck:
     formula_ok: bool | None
 
 
-def threshold(beta) -> Fraction:
-    """The exact recovery threshold 8*(beta + 1/3)^2 for a rational offset."""
-    beta = Fraction(beta)
-    if beta < 0:
+def threshold(beta) -> Fraction | QuadraticValue:
+    """The exact recovery threshold 8*(beta + 1/3)^2.
+
+    ``beta`` is a rational or a QuadraticValue offset; any other input is
+    first converted with ``Fraction(beta)``.  A negative offset raises
+    :class:`~egyptfrac.errors.NegativeBeta`.
+    """
+    if not isinstance(beta, QuadraticValue):
+        beta = Fraction(beta)
+    if sign_of(beta) < 0:
         raise NegativeBeta(f"beta must be >= 0, got {beta}")
-    return 8 * (beta + Fraction(1, 3)) ** 2
-
-
-def _threshold_value(beta):
-    # quadratic offsets get the same formula in quadratic arithmetic
-    if isinstance(beta, QuadraticValue):
-        t = beta + Fraction(1, 3)
-        return 8 * t * t
-    return threshold(beta)
+    t = beta + Fraction(1, 3)
+    return 8 * t * t
 
 
 def _invert(x):
     return x.inverse() if isinstance(x, QuadraticValue) else 1 / x
-
-
-def _check_offset(beta):
-    if sign_of(beta) < 0:
-        raise NegativeBeta(f"beta must be >= 0, got {beta}")
 
 
 def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
@@ -99,9 +93,8 @@ def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     if sign_of(r) <= 0:
         raise NonPositiveInput(f"recovery requires r > 0, got {r}")
-    _check_offset(beta)
+    thr = threshold(beta)
 
-    thr = _threshold_value(beta)
     records: list[RecoveryRecord] = []
     x = r
     for n in range(1, n_terms + 1):
@@ -140,7 +133,7 @@ def verify_characterization(a, r, beta) -> list[CharacterizationCheck]:
         r = Fraction(r)
     if isinstance(beta, int):
         beta = Fraction(beta)
-    _check_offset(beta)
+    thr = threshold(beta)
 
     total = sum(Fraction(1, t) for t in terms)
     if sign_of(r - total) <= 0:
@@ -148,7 +141,6 @@ def verify_characterization(a, r, beta) -> list[CharacterizationCheck]:
             f"reciprocal sum of the given terms ({total}) must be strictly below r"
         )
 
-    thr = _threshold_value(beta)
     checks: list[CharacterizationCheck] = []
     x = r
     for n, a_n in enumerate(terms, start=1):

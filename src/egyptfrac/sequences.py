@@ -28,26 +28,17 @@ __all__ = [
 ]
 
 
-def sylvester(m: int, n: int, *, depth_cap: int = SYLVESTER_DEPTH_CAP) -> int:
-    """n-th generalized Sylvester number s_n(m), by direct recurrence."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > depth_cap:
-        raise DepthExceeded(f"n={n} exceeds depth cap {depth_cap}")
-    s = m + 1
-    for _ in range(n - 1):
-        s = s * s - s + 1
-    return s
+def sylvester(m: int, n: int) -> int:
+    """n-th generalized Sylvester number s_n(m)."""
+    return sylvester_terms(m, n)[-1]
 
 
-def sylvester_terms(m: int, count: int, *, depth_cap: int = SYLVESTER_DEPTH_CAP) -> list[int]:
-    """First ``count`` terms s_1(m) .. s_count(m)."""
+def sylvester_terms(m: int, count: int) -> list[int]:
+    """First ``count`` terms s_1(m) .. s_count(m), by direct recurrence."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if count > depth_cap:
-        raise DepthExceeded(f"count={count} exceeds depth cap {depth_cap}")
+    if count > SYLVESTER_DEPTH_CAP:
+        raise DepthExceeded(f"count={count} exceeds depth cap {SYLVESTER_DEPTH_CAP}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     out = [m + 1]
@@ -72,12 +63,12 @@ def fib(n: int) -> int:
     return a
 
 
-def fib_pow2(n: int, *, depth_cap: int = FIB2_DEPTH_CAP) -> int:
+def fib_pow2(n: int) -> int:
     """F_{2^n}, the n-th term of the Millin-series denominators."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > depth_cap:
-        raise DepthExceeded(f"n={n} exceeds depth cap {depth_cap}")
+    if n > FIB2_DEPTH_CAP:
+        raise DepthExceeded(f"n={n} exceeds depth cap {FIB2_DEPTH_CAP}")
     return fib(1 << n)
 
 

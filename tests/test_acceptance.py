@@ -17,7 +17,7 @@ from egyptfrac.cli import main
 from egyptfrac.exactnum import QuadraticValue, sign_of
 from egyptfrac.expansion import ExpansionKind, expand, gap_sequence_naive
 from egyptfrac.gapfast import gap_sequence_fast, verify_fast_vs_naive
-from egyptfrac.randwalk import analytic_drift, simulate_walk
+from egyptfrac.randwalk import analytic_drift, run_walks
 from egyptfrac.recovery import recover_sequence, verify_characterization
 from egyptfrac.scanner import scan_conjecture
 from egyptfrac.sequences import fib_pow2, sylvester_terms
@@ -118,7 +118,7 @@ def test_c7_drift_and_monte_carlo(report):
     started = time.perf_counter()
     expr, value = analytic_drift()
     assert abs(value - (-0.0452287)) <= 1e-7
-    stats = simulate_walk(10.0, 1, 10**6, seed=20260810)
+    stats = run_walks(10.0, 1, 10**6, seed=20260810)[0]
     assert abs(stats.mean_log_t - value) <= 3 * stats.stderr_log_t
     report("C7", started,
            f"drift {value:.7f} matches closed form; 1e6-sample mean within "

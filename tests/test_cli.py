@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from egyptfrac import cli, gapfast
+from egyptfrac import cli, exactnum, gapfast
 from egyptfrac.cli import main
 
 
@@ -271,6 +271,32 @@ class TestRecoverCommand:
         assert "RecoveryBreakdown" in err
 
 
+class TestTableRendersOnce:
+    """A table renders no more integers than the CSV of the same records."""
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--r", "185/358", "--kind", "pseudo", "--terms", "14"],
+        ["recover", "--sum", "(5-1 sqrt 5)/2", "--beta", "1/3", "--terms", "12"],
+    ], ids=["expand", "recover"])
+    def test_table_calls_at_most_csv(self, capsys, monkeypatch, argv):
+        calls = {}
+        for fmt in ("csv", "table"):
+            count = [0]
+            real = exactnum.int_to_decimal_str
+
+            def counted(n, count=count, real=real):
+                count[0] += 1
+                return real(n)
+
+            with monkeypatch.context() as m:
+                m.setattr(exactnum, "int_to_decimal_str", counted)
+                m.setattr(cli, "int_to_decimal_str", counted)
+                code, _, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0
+            calls[fmt] = count[0]
+        assert 0 < calls["table"] <= calls["csv"]
+
+
 class TestSeqCommand:
     def test_sylvester(self, capsys):
         code, out, _ = run_cli(
@@ -299,6 +325,16 @@ class TestSeqCommand:
         code, out, _ = run_cli(capsys, "seq", "fib2", "--terms", "4", "--format", "csv")
         assert code == 0
         assert out == "n,value\n1,1\n2,3\n3,21\n4,987\n"
+
+    @pytest.mark.parametrize("kind", [["sylvester", "--m", "1"], ["fib2"]],
+                             ids=["sylvester", "fib2"])
+    @pytest.mark.parametrize("terms", ["0", "-3"])
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_count_below_one_is_domain_error(self, capsys, kind, terms, fmt):
+        code, out, err = run_cli(capsys, "seq", *kind, "--terms", terms, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == f"error[ValueError]: count must be >= 1, got {terms}\n"
 
     def test_growth_table(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "growth", "--m", "1", "--depth", "8")

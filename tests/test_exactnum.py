@@ -1,4 +1,5 @@
 import decimal
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -19,11 +20,7 @@ from egyptfrac.exactnum import (
     int_to_decimal_str,
     nearest_int,
     parse_value,
-    quad_arith,
-    quad_nearest_int,
-    quad_sign,
-    quad_to_decimal,
-    rat_nearest_int,
+    sign_of,
     to_decimal,
 )
 
@@ -51,48 +48,44 @@ class TestRatNearestInt:
         ],
     )
     def test_examples(self, x, expected):
-        assert rat_nearest_int(x) == expected
+        assert nearest_int(x) == expected
 
     def test_difference_in_half_open_window(self):
         rng = random.Random(1234)
         for _ in range(10**4):
             x = Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9))
-            n = rat_nearest_int(x)
+            n = nearest_int(x)
             assert Fraction(-1, 2) < n - x <= Fraction(1, 2)
 
     @given(fractions_st)
     @example(Fraction(1, 2))  # an exact tie rounds up: n - x = 1/2
     @example(Fraction(-1, 2))
     def test_window_hypothesis(self, x):
-        n = rat_nearest_int(x)
+        n = nearest_int(x)
         assert Fraction(-1, 2) < n - x <= Fraction(1, 2)
 
 
 class TestQuadArith:
     def test_millin_sum_inverse(self):
-        inv = quad_arith(q5(1, 0), MILLIN_SUM, "div")
+        inv = q5(1, 0) / MILLIN_SUM
         assert inv == q5(Fraction(5, 10), Fraction(1, 10))
-        assert quad_arith(MILLIN_SUM, inv, "mul") == q5(1, 0)
+        assert MILLIN_SUM * inv == q5(1, 0)
 
     def test_identity(self):
         one = q5(1, 0)
         x = q5(Fraction(3, 7), Fraction(-2, 9))
-        assert quad_arith(one, x, "mul") == x
+        assert one * x == x
 
     def test_rational_subtraction_touches_only_a(self):
         assert MILLIN_SUM - 1 == q5(Fraction(3, 2), Fraction(-1, 2))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            quad_arith(q5(1, 1), q5(0, 0), "div")
+            q5(1, 1) / q5(0, 0)
 
     def test_radicand_mismatch(self):
         with pytest.raises(RadicandMismatch):
             q5(1, 1) + QuadraticValue(1, 1, 2)
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            quad_arith(q5(1, 0), q5(1, 0), "pow")
 
     def test_square_radicand_rejected(self):
         with pytest.raises(ValueError):
@@ -112,20 +105,22 @@ class TestQuadArith:
         x = q5(a, b)
         if x.is_zero():
             return
-        assert quad_arith(x, x, "div") == q5(1, 0)
-        assert x * x.inverse() == q5(1, 0)
+        assert x / x == q5(1, 0)
+        # the conjugate formula, written out: (a + b sqrt5)(a - b sqrt5) = a^2 - 5 b^2
+        norm = a * a - 5 * b * b
+        assert x * q5(a / norm, -b / norm) == q5(1, 0)
 
 
 class TestQuadSign:
     def test_millin_first_three_bound_is_positive(self):
-        assert quad_sign(q5(1583, -319)) == 1
+        assert sign_of(q5(1583, -319)) == 1
 
     def test_zero(self):
-        assert quad_sign(q5(0, 0)) == 0
+        assert sign_of(q5(0, 0)) == 0
 
     def test_two_minus_sqrt5(self):
         # 2^2 = 4 < 5 = rad * b^2
-        assert quad_sign(q5(2, -1)) == -1
+        assert sign_of(q5(2, -1)) == -1
 
     @given(
         st.fractions(max_denominator=1000, min_value=-100, max_value=100),
@@ -133,8 +128,8 @@ class TestQuadSign:
     )
     def test_antisymmetric(self, a, b):
         x = q5(a, b)
-        assert quad_sign(-x) == -quad_sign(x)
-        assert (quad_sign(x) == 0) == (a == 0 and b == 0)
+        assert sign_of(-x) == -sign_of(x)
+        assert (sign_of(x) == 0) == (a == 0 and b == 0)
 
     @given(
         st.fractions(max_denominator=1000, min_value=-100, max_value=100),
@@ -148,25 +143,25 @@ class TestQuadSign:
         n = interval_nearest_int(a * 1000, b * 1000, 5)  # scale away near-zero values
         scaled = x * 1000
         if n != 0:
-            assert quad_sign(scaled) == (1 if n > 0 else -1)
+            assert sign_of(scaled) == (1 if n > 0 else -1)
 
 
 class TestQuadNearestInt:
     def test_millin_first_term_value(self):
         x = q5(Fraction(25, 30), Fraction(3, 30))
         assert interval_nearest_int(x.a, x.b, 5) == 1  # oracle agrees
-        assert quad_nearest_int(x) == 1
+        assert nearest_int(x) == 1
 
     def test_rational_delegation(self):
-        assert quad_nearest_int(q5(Fraction(7, 3), 0)) == 2
+        assert nearest_int(q5(Fraction(7, 3), 0)) == 2
 
     def test_built_from_arithmetic(self):
         x = MILLIN_SUM.inverse() + Fraction(1, 3)
-        assert quad_nearest_int(x) == 1
+        assert nearest_int(x) == 1
 
     @given(st.fractions(max_denominator=10**4, min_value=-(10**4), max_value=10**4))
     def test_agrees_with_rational_on_b_zero(self, a):
-        assert quad_nearest_int(q5(a, 0)) == rat_nearest_int(a)
+        assert nearest_int(q5(a, 0)) == math.floor(a + Fraction(1, 2))
 
     def test_against_interval_oracle(self):
         rng = random.Random(99)
@@ -175,39 +170,45 @@ class TestQuadNearestInt:
             b = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
             if b == 0:
                 continue
-            got = quad_nearest_int(q5(a, b))
+            got = nearest_int(q5(a, b))
             assert got == interval_nearest_int(a, b, 5)
 
     def test_other_radicands(self):
         for d in (2, 3, 7, 10, 9999999999):
             x = QuadraticValue(Fraction(1, 3), Fraction(5, 7), d)
-            assert quad_nearest_int(x) == interval_nearest_int(x.a, x.b, d)
+            assert nearest_int(x) == interval_nearest_int(x.a, x.b, d)
 
     def test_huge_b_coefficient(self):
         # the sqrt bracket must adapt to the size of b
         x = q5(0, 10**50)
-        assert quad_nearest_int(x) == interval_nearest_int(x.a, x.b, 5)
+        assert nearest_int(x) == interval_nearest_int(x.a, x.b, 5)
 
 
 class TestQuadToDecimal:
     def test_millin_bound(self):
         v = q5(Fraction(1583, 638), Fraction(-319, 638))
-        assert quad_to_decimal(v, 7) == "1.3631572"
+        assert to_decimal(v, 7) == "1.3631572"
 
     def test_millin_sum(self):
-        assert quad_to_decimal(MILLIN_SUM, 7) == "1.3819660"
+        assert to_decimal(MILLIN_SUM, 7) == "1.3819660"
 
     def test_zero(self):
-        assert quad_to_decimal(q5(0, 0), 3) == "0.000"
+        assert to_decimal(q5(0, 0), 3) == "0.000"
 
     def test_negative_value(self):
-        assert quad_to_decimal(q5(-2, -1), 4) == "-4.2361"  # -(2+sqrt5) = -4.23606...
+        assert to_decimal(q5(-2, -1), 4) == "-4.2361"  # -(2+sqrt5) = -4.23606...
 
     def test_digits_bounds(self):
         with pytest.raises(ValueError):
-            quad_to_decimal(MILLIN_SUM, 0)
+            to_decimal(MILLIN_SUM, 0)
         with pytest.raises(ValueError):
-            quad_to_decimal(MILLIN_SUM, 10**6 + 1)
+            to_decimal(MILLIN_SUM, 10**6 + 1)
+
+    def test_non_quadratic_input_is_coerced(self):
+        assert to_decimal(1, 3) == "1.000"
+        assert to_decimal(Fraction(-1, 3), 4) == "-0.3333"
+        assert to_decimal("7/2", 2) == "3.50"
+        assert to_decimal(0.25, 1) == "0.3"  # 2.5 is a tie, rounded up
 
     def test_reparse_is_close(self):
         rng = random.Random(5)
@@ -216,7 +217,7 @@ class TestQuadToDecimal:
             b = Fraction(rng.randint(-(10**4), 10**4), rng.randint(1, 100))
             x = q5(a, b)
             for digits in (3, 8):
-                back = Fraction(quad_to_decimal(x, digits))
+                back = Fraction(to_decimal(x, digits))
                 diff = x - back
                 tol = Fraction(10) ** (1 - digits)
                 assert (tol - diff).sign() > 0 and (diff + tol).sign() > 0
@@ -375,7 +376,7 @@ class TestHugeValuesUnderDefaultLimit:
         (Fraction(1, DEN), 30_000),  # over 8k fractional digits after the zeros
     ])
     def test_to_decimal(self, x, digits):
-        m = rat_nearest_int(x * 10**digits)
+        m = math.floor(x * 10**digits + Fraction(1, 2))
         q, r = divmod(abs(m), 10**digits)
         with str_limit(0):
             expected = f"{'-' if m < 0 else ''}{q}.{r:0{digits}d}"

@@ -1,0 +1,112 @@
+"""The package's public names, and the hook points the benchmark tracer patches."""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import egyptfrac
+from egyptfrac import sequences
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# one name per exact operation: these duplicates of nearest_int, sign_of,
+# the operators, to_decimal and run_walks are gone
+DELETED = (
+    "rat_nearest_int",
+    "quad_nearest_int",
+    "quad_sign",
+    "quad_arith",
+    "quad_to_decimal",
+    "simulate_walk",
+)
+
+MODULES = [
+    importlib.import_module(f"egyptfrac.{info.name}")
+    for info in pkgutil.iter_modules(egyptfrac.__path__)
+    if info.name != "__main__"
+]
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("module", [egyptfrac, *MODULES], ids=lambda m: m.__name__)
+    def test_all_names_resolve(self, module):
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_package_all_has_no_duplicates(self):
+        assert len(egyptfrac.__all__) == len(set(egyptfrac.__all__))
+
+    @pytest.mark.parametrize("module", [egyptfrac, *MODULES], ids=lambda m: m.__name__)
+    def test_deleted_names_absent(self, module):
+        for name in DELETED:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ())
+
+    @pytest.mark.parametrize("call", [
+        lambda: sequences.sylvester(1, 3, depth_cap=5),
+        lambda: sequences.sylvester_terms(1, 3, depth_cap=5),
+        lambda: sequences.fib_pow2(3, depth_cap=5),
+    ], ids=["sylvester", "sylvester_terms", "fib_pow2"])
+    def test_no_depth_cap_keyword(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+
+# spans (and counters) that each traced command must record at least once
+_TRACED = [
+    pytest.param(
+        ["scan", "--qmin", "1", "--qmax", "12", "--maxiter", "100", "--out", "scan.csv"],
+        ["cli.main", "scanner.scan_conjecture", "gapfast.gap_sequence_fast", "cli.progress"],
+        ["scanner.rows_computed", "scanner.out_bytes"],
+        id="scan",
+    ),
+    pytest.param(
+        ["expand", "--r", "11/29", "--kind", "pseudo", "--terms", "6", "--format", "csv"],
+        ["expansion.expand", "exactnum.nearest_int", "exactnum.decimal_digits",
+         "exactnum.format_value"],
+        ["expansion.expand.terms", "exactnum.format_value.chars", "exactnum.max_operand_bits"],
+        id="expand",
+    ),
+    pytest.param(
+        ["recover", "--sum", "(5-1 sqrt 5)/2", "--beta", "1/3", "--terms", "4",
+         "--format", "json"],
+        ["recovery.recover_sequence", "exactnum.nearest_int", "exactnum.format_value"],
+        ["recovery.recover_sequence.terms", "exactnum.max_operand_bits"],
+        id="recover",
+    ),
+    pytest.param(
+        ["gaps", "--r", "11/29", "--terms", "10", "--method", "both"],
+        ["gapfast.gap_sequence_fast", "expansion.gap_sequence_naive"],
+        ["gapfast.gap_sequence_fast.steps", "expansion.gap_sequence_naive.steps"],
+        id="gaps-both",
+    ),
+    pytest.param(
+        ["walk", "--c0", "10", "--steps", "20", "--trials", "8", "--seed", "1"],
+        ["randwalk.run_walks"],
+        ["randwalk.steps_drawn", "randwalk.peak_alloc_mib"],
+        id="walk",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, spans, counters", _TRACED)
+def test_tracer_hook_points(tmp_path, argv, spans, counters):
+    summary = tmp_path / "summary.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracer.py"), str(summary), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(summary.read_text())
+    for name in spans:
+        assert record["spans"][name]["calls"] > 0, name
+    for name in counters:
+        assert record["counters"][name] > 0, name

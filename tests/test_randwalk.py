@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from egyptfrac.randwalk import (
-    GENERATOR_ID,
-    analytic_drift,
-    run_walks,
-    simulate_walk,
-)
+from egyptfrac.randwalk import GENERATOR_ID, analytic_drift, run_walks
 
 from oracles import ks_statistic_uniform, simpson
 
@@ -29,13 +24,13 @@ class TestAnalyticDrift:
 
 class TestDeterminism:
     def test_bit_identical_runs(self):
-        a = simulate_walk(100.0, 200, 500, seed=123)
-        b = simulate_walk(100.0, 200, 500, seed=123)
+        a = run_walks(100.0, 200, 500, seed=123)[0]
+        b = run_walks(100.0, 200, 500, seed=123)[0]
         assert a == b
 
     def test_seed_changes_results(self):
-        a = simulate_walk(100.0, 200, 500, seed=123)
-        b = simulate_walk(100.0, 200, 500, seed=124)
+        a = run_walks(100.0, 200, 500, seed=123)[0]
+        b = run_walks(100.0, 200, 500, seed=124)[0]
         assert a.mean_log_t != b.mean_log_t
 
     def test_block_size_does_not_change_samples(self):
@@ -51,40 +46,40 @@ class TestDeterminism:
         assert a.stderr_log_t == pytest.approx(b.stderr_log_t, rel=1e-12)
 
     def test_generator_is_named(self):
-        assert simulate_walk(2.0, 5, 10, seed=0).generator_id == GENERATOR_ID
+        assert run_walks(2.0, 5, 10, seed=0)[0].generator_id == GENERATOR_ID
 
 
 class TestEdgeCases:
     def test_start_at_boundary(self):
-        stats = simulate_walk(1.0, 10, 50, seed=3)
+        stats = run_walks(1.0, 10, 50, seed=3)[0]
         assert stats.hit_fraction == 1.0
         assert stats.mean_hit_time == 0.0
         assert stats.mean_log_t is None and stats.stderr_log_t is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_walk(0.5, 10, 10, seed=1)
+            run_walks(0.5, 10, 10, seed=1)
         with pytest.raises(ValueError):
-            simulate_walk(2.0, 0, 10, seed=1)
+            run_walks(2.0, 0, 10, seed=1)
         with pytest.raises(ValueError):
-            simulate_walk(2.0, 10, 0, seed=1)
+            run_walks(2.0, 10, 0, seed=1)
 
     def test_no_hits_when_cap_too_small(self):
         # c0 = 1e5 cannot reach 1 in 3 steps (t >= 1/2)
-        stats = simulate_walk(1e5, 3, 100, seed=4)
+        stats = run_walks(1e5, 3, 100, seed=4)[0]
         assert stats.hit_fraction == 0.0
         assert stats.mean_hit_time is None
 
 
 class TestDriftStatistics:
     def test_single_step_samples_match_drift(self):
-        stats = simulate_walk(10.0, 1, 10**5, seed=20260810)
+        stats = run_walks(10.0, 1, 10**5, seed=20260810)[0]
         assert stats.stderr_log_t > 0
         assert abs(stats.mean_log_t - analytic_drift()[1]) < 3 * stats.stderr_log_t
 
     def test_stderr_scales_inverse_sqrt(self):
         errs = {
-            n: simulate_walk(10.0, 1, n, seed=777).stderr_log_t
+            n: run_walks(10.0, 1, n, seed=777)[0].stderr_log_t
             for n in (10**3, 10**4, 10**5)
         }
         for n in (10**3, 10**4):
@@ -104,7 +99,7 @@ class TestDriftStatistics:
 class TestHittingTimes:
     def test_drift_dominated_hitting_time(self):
         # expected ~ ln(c0) / 0.0452287 ~ 254.6; heuristic model, wide band
-        stats = simulate_walk(1e5, 10**4, 2000, seed=31)
+        stats = run_walks(1e5, 10**4, 2000, seed=31)[0]
         assert stats.hit_fraction == 1.0
         predicted = math.log(1e5) / -analytic_drift()[1]
         assert predicted / 2 <= stats.mean_hit_time <= predicted * 2

@@ -35,6 +35,22 @@ class TestThreshold:
         with pytest.raises(NegativeBeta):
             threshold(Fraction(-1, 2))
 
+    def test_coerces_non_quadratic_input(self):
+        assert threshold("1/3") == Fraction(32, 9)
+        assert threshold(0.5) == Fraction(50, 9)  # 8 (5/6)^2
+
+    def test_quadratic_beta(self):
+        # (sqrt5/5 + 1/3)^2 = 1/5 + 1/9 + (2/15) sqrt5, times 8
+        assert threshold(INV_SQRT5) == QuadraticValue(Fraction(112, 45), Fraction(16, 15), 5)
+        # about 4.875: a_n >= 5 is the integer condition
+        assert sign_of(threshold(INV_SQRT5) - 4) > 0 > sign_of(threshold(INV_SQRT5) - 5)
+        # b = 0 is the rational formula
+        assert threshold(QuadraticValue(1, 0, 5)) == Fraction(128, 9)
+
+    def test_negative_quadratic(self):
+        with pytest.raises(NegativeBeta, match="beta must be >= 0"):
+            threshold(QuadraticValue(1, -1, 5))
+
 
 class TestRecoverSequence:
     def test_sylvester_from_one(self):

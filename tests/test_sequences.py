@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from egyptfrac import sequences
 from egyptfrac.errors import DepthExceeded
 from egyptfrac.sequences import (
     SYLVESTER_DEPTH_CAP,
@@ -28,14 +29,31 @@ class TestSylvester:
         assert sylvester_terms(4, 3) == [5, 21, 421]
 
     def test_single_term_matches_list(self):
-        for n in range(1, 8):
-            assert sylvester(3, n) == sylvester_terms(3, 8)[n - 1]
+        # OEIS A000058, the classical Sylvester sequence
+        known = [2, 3, 7, 43, 1807, 3263443, 10650056950807, 113423713055421844361000443]
+        for n in range(1, 9):
+            assert sylvester(1, n) == known[n - 1]
+
+    def test_single_term_matches_product_identity(self):
+        # s_{n+1}(m) - 1 = m * s_1(m) * ... * s_n(m), from s_{n+1} - 1 = s_n (s_n - 1)
+        for m in (1, 3, 10):
+            for n in range(1, 9):
+                assert sylvester(m, n + 1) - 1 == m * math.prod(sylvester(m, k) for k in range(1, n + 1))
 
     def test_depth_cap(self):
         with pytest.raises(DepthExceeded):
             sylvester(1, SYLVESTER_DEPTH_CAP + 1)
         with pytest.raises(DepthExceeded):
             sylvester_terms(1, SYLVESTER_DEPTH_CAP + 1)
+
+    def test_depth_cap_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(sequences, "SYLVESTER_DEPTH_CAP", 3)
+        monkeypatch.setattr(sequences, "FIB2_DEPTH_CAP", 3)
+        assert sylvester_terms(1, 3) == [2, 3, 7]
+        for call in (lambda: sylvester(1, 4), lambda: sylvester_terms(1, 4),
+                     lambda: fib_pow2(4)):
+            with pytest.raises(DepthExceeded, match="exceeds depth cap 3"):
+                call()
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
