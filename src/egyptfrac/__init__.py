@@ -60,7 +60,6 @@ from .recovery import (
     verify_characterization,
 )
 from .scanner import (
-    ScanRecord,
     ScanSummary,
     TailDiagnosis,
     diagnose_tail,
@@ -118,7 +117,6 @@ __all__ = [
     "recover_sequence",
     "verify_characterization",
     # scanner
-    "ScanRecord",
     "ScanSummary",
     "TailDiagnosis",
     "scan_conjecture",

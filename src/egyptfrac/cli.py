@@ -18,8 +18,8 @@ import sys
 from collections.abc import Iterable
 from fractions import Fraction
 
-from . import __version__
-from .errors import EgyptError, IoError
+from . import __version__, sequences
+from .errors import DepthExceeded, EgyptError, IoError
 from .exactnum import format_value, int_to_decimal_str, parse_value, to_decimal
 from .expansion import (
     DEFAULT_DIGIT_CAP,
@@ -225,12 +225,12 @@ def _cmd_gaps(args) -> int:
 
 def _cmd_scan(args) -> int:
     def progress(q, rows):
-        bad = [r for r in rows if r.status == "MAXITER"]
-        for r in bad:
-            print(
-                f"MAXITER: {r.p}/{r.q} produced no zero gap within {args.maxiter} steps",
-                file=sys.stderr,
-            )
+        for p, _, _, _, _, status, _ in rows:
+            if status == "MAXITER":
+                print(
+                    f"MAXITER: {p}/{q} produced no zero gap within {args.maxiter} steps",
+                    file=sys.stderr,
+                )
         if args.verbose:
             print(f"q={q}: {len(rows)} pairs", file=sys.stderr)
 
@@ -312,7 +312,10 @@ def _cmd_seq(args) -> int:
         raise ValueError(f"count must be >= 1, got {args.terms}")
     if args.seq_kind == "sylvester":
         values = sylvester_terms(args.m, args.terms)
-    else:  # fib2, one term at a time
+    else:  # fib2, one term at a time, so its cap is checked before the first
+        cap = sequences.FIB2_DEPTH_CAP
+        if args.terms > cap:
+            raise DepthExceeded(f"n={args.terms} exceeds depth cap {cap}")
         values = (fib_pow2(n) for n in range(1, args.terms + 1))
     rows = [{"n": n, "value": int_to_decimal_str(v)} for n, v in enumerate(values, start=1)]
     _emit(args.format, ["n", "value"], rows)

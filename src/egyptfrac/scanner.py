@@ -6,10 +6,21 @@ within the iteration budget, or not (status MAXITER).  MAXITER rows are the
 interesting output -- potential counterexample leads -- and are surfaced
 loudly by the CLI, but they are not errors.
 
+A row is a plain tuple in CSV column order,
+``(p, q, n0, steps, max_c, status, tail_sign_index)``, from the worker that
+computes it through the pool transfer and the progress callback to the
+checkpoint parser; no object is built per pair.  The unit of work is one q
+group: a worker returns its rows together with their CSV text, so the text
+is formatted in parallel and the parent only writes it.  With several
+workers, the pool's tasks are contiguous runs of q with about equal pair
+counts (phi(q) summed).
+
 Output is a CSV ordered by (q, p), byte-identical regardless of the number
-of worker processes.  The checkpoint granularity for --resume is one full q
-value: a q whose row count matches its coprime count is trusted and reused,
-a trailing partial q is recomputed, and anything else in the file that does
+of worker processes.  Each q group is written and flushed as soon as it and
+every group before it are done, so an interrupted scan leaves the header and
+whole groups.  The checkpoint granularity for --resume is one full q value:
+a q whose row count matches its coprime count is trusted and reused, a
+trailing partial q is recomputed, and anything else in the file that does
 not parse back cleanly is reported as a corrupt checkpoint.
 """
 
@@ -17,6 +28,8 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from math import gcd
 from multiprocessing import Pool
@@ -26,7 +39,6 @@ from .errors import CorruptCheckpoint, IoError
 from .gapfast import GapTrace, gap_sequence_fast
 
 __all__ = [
-    "ScanRecord",
     "ScanSummary",
     "TailDiagnosis",
     "scan_conjecture",
@@ -35,17 +47,9 @@ __all__ = [
 ]
 
 _CSV_HEADER = "p,q,n0,steps,max_c,status,tail_sign_index"
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    p: int
-    q: int
-    n0: int | None
-    steps: int
-    max_c: int
-    status: str  # ZERO | MAXITER
-    tail_sign_index: int | None
+# pool tasks per worker process; more tasks balance better and stream in
+# smaller steps, fewer cost less transfer
+_SPANS_PER_JOB = 8
 
 
 @dataclass(frozen=True)
@@ -108,31 +112,84 @@ def coprime_numerators(q: int) -> list[int]:
     return [p for p in range(1, q + 1) if gcd(p, q) == 1]
 
 
-def _scan_record(p: int, q: int, n_max: int) -> ScanRecord:
-    trace = gap_sequence_fast(p, q, n_max)
-    return ScanRecord(
-        p=p,
-        q=q,
-        n0=trace.n0,
-        steps=trace.steps,
-        max_c=max(trace.c),
-        status="ZERO" if trace.terminated else "MAXITER",
-        tail_sign_index=_tail_start(trace.e),
+def _totient(q: int) -> int:
+    """Euler's phi(q), the number of pairs in the q group, by trial division."""
+    phi, n, f = q, q, 2
+    while f * f <= n:
+        if n % f == 0:
+            while n % f == 0:
+                n //= f
+            phi -= phi // f
+        f += 1
+    if n > 1:
+        phi -= phi // n
+    return phi
+
+
+def _format_rows(rows: list[tuple]) -> str:
+    """CSV lines of ``rows``, each ending in a newline."""
+    return "".join(
+        f"{p},{q},{'' if n0 is None else n0},{steps},{max_c},{status},"
+        f"{'' if tail is None else tail}\n"
+        for p, q, n0, steps, max_c, status, tail in rows
     )
 
 
-def _scan_q(args: tuple[int, int]) -> tuple[int, list[ScanRecord]]:
-    q, n_max = args
-    return q, [_scan_record(p, q, n_max) for p in coprime_numerators(q)]
+def _scan_q(q: int, n_max: int) -> tuple[int, list[tuple], str]:
+    """Rows of one q group and their CSV text: the unit of work of a scan."""
+    rows = []
+    for p in coprime_numerators(q):
+        # looked up as a module global on every call: the benchmark tracer wraps it
+        trace = gap_sequence_fast(p, q, n_max)
+        rows.append((
+            p, q, trace.n0, trace.steps, max(trace.c),
+            "ZERO" if trace.terminated else "MAXITER", _tail_start(trace.e),
+        ))
+    return q, rows, _format_rows(rows)
 
 
-def _format_row(r: ScanRecord) -> str:
-    n0 = "" if r.n0 is None else str(r.n0)
-    tail = "" if r.tail_sign_index is None else str(r.tail_sign_index)
-    return f"{r.p},{r.q},{n0},{r.steps},{r.max_c},{r.status},{tail}"
+def _scan_span(args: tuple[list[int], int]) -> list[tuple[int, list[tuple], str]]:
+    qs, n_max = args
+    return [_scan_q(q, n_max) for q in qs]
 
 
-def _parse_row(line: str, lineno: int) -> ScanRecord:
+def _pair_spans(qs: list[int], parts: int) -> list[list[int]]:
+    """Split ``qs`` into contiguous runs of about equal pair count.
+
+    A run closes as soon as its pairs (phi(q) summed) reach
+    ceil(total / parts), so none exceeds that target by as much as the phi
+    of its last q.  Pair counts, not q counts, set the balance: phi(q) is
+    about q/2 for even q and up to q - 1 for odd q.
+    """
+    weights = [_totient(q) for q in qs]
+    target = -(-sum(weights) // parts)
+    spans: list[list[int]] = []
+    span: list[int] = []
+    pairs = 0
+    for q, w in zip(qs, weights):
+        span.append(q)
+        pairs += w
+        if pairs >= target:
+            spans.append(span)
+            span, pairs = [], 0
+    if span:
+        spans.append(span)
+    return spans
+
+
+def _fresh_groups(todo: list[int], n_max: int, jobs: int):
+    """Yield ``_scan_q`` results for ``todo`` in order, computed lazily."""
+    if jobs == 1:
+        for q in todo:
+            yield _scan_q(q, n_max)
+        return
+    spans = _pair_spans(todo, jobs * _SPANS_PER_JOB)
+    with Pool(processes=jobs) as pool:
+        for groups in pool.imap(_scan_span, [(span, n_max) for span in spans]):
+            yield from groups
+
+
+def _parse_row(line: str, lineno: int) -> tuple:
     parts = line.split(",")
     if len(parts) != 7:
         raise CorruptCheckpoint(f"line {lineno}: expected 7 fields, got {len(parts)}")
@@ -146,10 +203,10 @@ def _parse_row(line: str, lineno: int) -> ScanRecord:
         raise CorruptCheckpoint(f"line {lineno}: {exc}") from None
     if status not in ("ZERO", "MAXITER") or (status == "ZERO") != (n0 is not None):
         raise CorruptCheckpoint(f"line {lineno}: inconsistent status {status!r}")
-    return ScanRecord(p, q, n0, steps, max_c, status, tail)
+    return p, q, n0, steps, max_c, status, tail
 
 
-def _load_checkpoint(path: Path, q_min: int, q_max: int) -> dict[int, list[ScanRecord]]:
+def _load_checkpoint(path: Path, q_min: int, q_max: int) -> dict[int, list[tuple]]:
     """Parse completed q-groups out of an existing scan file."""
     try:
         lines = path.read_text().splitlines()
@@ -159,30 +216,40 @@ def _load_checkpoint(path: Path, q_min: int, q_max: int) -> dict[int, list[ScanR
         return {}
     if lines[0] != _CSV_HEADER:
         raise CorruptCheckpoint(f"unexpected header {lines[0]!r}")
-    groups: dict[int, list[ScanRecord]] = {}
+    groups: dict[int, list[tuple]] = {}
     order: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        rec = _parse_row(line, lineno)
-        if not q_min <= rec.q <= q_max:
-            raise CorruptCheckpoint(f"line {lineno}: q={rec.q} outside scanned range")
-        if rec.q not in groups:
-            if order and rec.q <= order[-1]:
+        row = _parse_row(line, lineno)
+        q = row[1]
+        if not q_min <= q <= q_max:
+            raise CorruptCheckpoint(f"line {lineno}: q={q} outside scanned range")
+        if q not in groups:
+            if order and q <= order[-1]:
                 raise CorruptCheckpoint(f"line {lineno}: q values out of order")
-            order.append(rec.q)
-            groups[rec.q] = []
-        groups[rec.q].append(rec)
-    complete: dict[int, list[ScanRecord]] = {}
+            order.append(q)
+            groups[q] = []
+        groups[q].append(row)
+    complete: dict[int, list[tuple]] = {}
     for idx, q in enumerate(order):
         rows = groups[q]
-        if [r.p for r in rows] == coprime_numerators(q):
+        if [r[0] for r in rows] == coprime_numerators(q):
             complete[q] = rows
         elif idx == len(order) - 1:
             pass  # trailing partial q: recompute it
         else:
             raise CorruptCheckpoint(f"q={q} is incomplete mid-file")
     return complete
+
+
+def _write(fh, text: str, path: Path) -> None:
+    """Append ``text`` to the scan output and flush it, so a killed run keeps it."""
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        raise IoError(f"cannot write scan output {path}: {exc}") from exc
 
 
 def scan_conjecture(
@@ -197,8 +264,13 @@ def scan_conjecture(
     """Scan all reduced p/q with q_min <= q <= q_max; write CSV, return summary.
 
     ``jobs`` worker processes share the work; more than ``os.cpu_count()`` is
-    rejected.  ``progress`` may be a callable taking (q, records) for per-q
-    reporting.
+    rejected.  The output is opened once the checkpoint (with ``resume``) has
+    been read, and each q group is written and flushed in q order as soon as
+    it is ready, so an interrupted scan leaves whole groups that ``resume``
+    reuses.  ``progress`` may be a callable taking ``(q, rows)``; it is
+    called after each freshly computed group has been written, with ``rows``
+    a list of ``(p, q, n0, steps, max_c, status, tail_sign_index)`` tuples
+    in CSV column order.
     """
     if q_min < 1 or q_max < q_min:
         raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}..{q_max}")
@@ -208,44 +280,40 @@ def scan_conjecture(
     out_path = Path(out_path)
     started = time.perf_counter()
 
-    cached: dict[int, list[ScanRecord]] = {}
+    cached: dict[int, list[tuple]] = {}
     if resume and out_path.exists():
         cached = _load_checkpoint(out_path, q_min, q_max)
-
     todo = [q for q in range(q_min, q_max + 1) if q not in cached]
-    fresh: dict[int, list[ScanRecord]] = {}
-    if todo:
-        work = [(q, n_max) for q in todo]
-        if jobs == 1:
-            for q, rows in map(_scan_q, work):
-                fresh[q] = rows
-                if progress is not None:
-                    progress(q, rows)
-        else:
-            with Pool(processes=jobs) as pool:
-                chunk = max(1, len(work) // (jobs * 8))
-                for q, rows in pool.imap(_scan_q, work, chunksize=chunk):
-                    fresh[q] = rows
-                    if progress is not None:
-                        progress(q, rows)
 
-    pairs_total = pairs_zero = 0
-    histogram: dict[int, int] = {}
-    overall_max_c = 0
     try:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for q in range(q_min, q_max + 1):
-                for rec in cached.get(q) or fresh[q]:
-                    fh.write(_format_row(rec) + "\n")
-                    pairs_total += 1
-                    overall_max_c = max(overall_max_c, rec.max_c)
-                    if rec.n0 is not None:
-                        pairs_zero += 1
-                        histogram[rec.n0] = histogram.get(rec.n0, 0) + 1
+        fh = open(out_path, "w", newline="")
     except OSError as exc:
         raise IoError(f"cannot write scan output {out_path}: {exc}") from exc
+    pairs_total = overall_max_c = 0
+    histogram: Counter[int] = Counter()
+    pending = [_CSV_HEADER + "\n"]  # header and cached groups not yet written
+    with fh, closing(_fresh_groups(todo, n_max, jobs)) as fresh:
+        for q in range(q_min, q_max + 1):
+            rows = cached.get(q)
+            computed = rows is None
+            if computed:
+                # what precedes q goes to disk before q is computed
+                if pending:
+                    _write(fh, "".join(pending), out_path)
+                    pending = []
+                _, rows, text = next(fresh)
+                _write(fh, text, out_path)
+            else:
+                pending.append(_format_rows(rows))
+            pairs_total += len(rows)
+            overall_max_c = max(overall_max_c, max(r[4] for r in rows))
+            histogram.update(r[2] for r in rows if r[2] is not None)
+            if computed and progress is not None:
+                progress(q, rows)
+        if pending:
+            _write(fh, "".join(pending), out_path)
 
+    pairs_zero = sum(histogram.values())
     return ScanSummary(
         q_min=q_min,
         q_max=q_max,

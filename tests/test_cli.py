@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from egyptfrac import cli, exactnum, gapfast
+from egyptfrac import cli, exactnum, gapfast, sequences
 from egyptfrac.cli import main
 
 
@@ -336,6 +336,19 @@ class TestSeqCommand:
         assert out == ""
         assert err == f"error[ValueError]: count must be >= 1, got {terms}\n"
 
+    @pytest.mark.parametrize("cap, terms", [(3, 4), (None, 25)], ids=["patched", "default"])
+    def test_fib2_over_cap_computes_no_term(self, capsys, monkeypatch, cap, terms):
+        if cap is not None:
+            monkeypatch.setattr(sequences, "FIB2_DEPTH_CAP", cap)
+        calls = []
+        monkeypatch.setattr(cli, "fib_pow2", lambda n: calls.append(n) or sequences.fib_pow2(n))
+        code, out, err = run_cli(capsys, "seq", "fib2", "--terms", str(terms), "--format", "csv")
+        assert code == 1
+        assert out == ""
+        cap = sequences.FIB2_DEPTH_CAP
+        assert err == f"error[DepthExceeded]: n={terms} exceeds depth cap {cap}\n"
+        assert calls == []
+
     def test_growth_table(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "growth", "--m", "1", "--depth", "8")
         assert code == 0
@@ -428,6 +441,25 @@ class TestScanCommand:
         )
         assert code == 1
         assert err.startswith("error[ValueError]: jobs")
+
+    def test_maxiter_echo_matches_csv(self, capsys, tmp_path, monkeypatch):
+        # every MAXITER row is echoed to stderr once, in (q, p) order, for any --jobs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        echoes = []
+        for jobs in ("1", "2"):
+            out_file = tmp_path / f"scan{jobs}.csv"
+            code, _, err = run_cli(
+                capsys, "scan", "--qmin", "1", "--qmax", "30", "--maxiter", "3",
+                "--out", str(out_file), "--jobs", jobs,
+            )
+            assert code == 0
+            rows = [l.split(",") for l in out_file.read_text().splitlines()[1:]]
+            leads = [f"MAXITER: {p}/{q} produced no zero gap within 3 steps"
+                     for p, q, _, _, _, status, _ in rows if status == "MAXITER"]
+            assert leads
+            assert err.splitlines() == leads
+            echoes.append(err)
+        assert echoes[0] == echoes[1]
 
     def test_resume_flag(self, capsys, tmp_path):
         out_file = tmp_path / "scan.csv"

@@ -16,7 +16,8 @@ from egyptfrac import sequences
 ROOT = Path(__file__).resolve().parents[1]
 
 # one name per exact operation: these duplicates of nearest_int, sign_of,
-# the operators, to_decimal and run_walks are gone
+# the operators, to_decimal and run_walks are gone, and scan rows are plain
+# tuples, not ScanRecord objects
 DELETED = (
     "rat_nearest_int",
     "quad_nearest_int",
@@ -24,6 +25,7 @@ DELETED = (
     "quad_arith",
     "quad_to_decimal",
     "simulate_walk",
+    "ScanRecord",
 )
 
 MODULES = [

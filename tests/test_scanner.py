@@ -11,6 +11,8 @@ from egyptfrac.scanner import (
     diagnose_tail,
     scan_conjecture,
     _load_checkpoint,
+    _pair_spans,
+    _totient,
 )
 
 
@@ -182,13 +184,102 @@ class TestScanConjecture:
         assert not (tmp_path / "x.csv").exists()
 
 
+class Interrupted(Exception):
+    pass
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kill_then_resume(self, tmp_path, monkeypatch, jobs):
+        # a run that dies after q = k leaves the header and every group up to
+        # k on disk, and --resume finishes it byte-identical to a fresh scan
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        k = 17
+        seen = []
+
+        def die_after_k(q, rows):
+            seen.append(q)
+            if q == k:
+                raise Interrupted
+
+        out = tmp_path / "scan.csv"
+        with pytest.raises(Interrupted):
+            scan_conjecture(1, 30, 1000, out, jobs=jobs, progress=die_after_k)
+        assert seen == list(range(1, k + 1))
+        lines = read_rows(out)
+        assert [(int(l.split(",")[1]), int(l.split(",")[0])) for l in lines] == [
+            (q, p) for q in range(1, k + 1) for p in coprime_numerators(q)
+        ]
+        resumed = []
+        scan_conjecture(1, 30, 1000, out, jobs=jobs, resume=True,
+                        progress=lambda q, rows: resumed.append(q))
+        assert resumed == list(range(k + 1, 31))
+        fresh = tmp_path / "fresh.csv"
+        scan_conjecture(1, 30, 1000, fresh)
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_progress_rows_are_csv_tuples(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        got = []
+        scan_conjecture(1, 12, 3, out, progress=lambda q, rows: got.extend(rows))
+        assert all(type(r) is tuple and len(r) == 7 for r in got)
+        assert [",".join("" if v is None else str(v) for v in r) for r in got] == read_rows(out)
+        assert {r[5] for r in got} == {"ZERO", "MAXITER"}
+
+
+class TestPairSpans:
+    def test_totient(self):
+        assert [_totient(q) for q in range(1, 400)] == [
+            len(coprime_numerators(q)) for q in range(1, 400)
+        ]
+
+    @pytest.mark.parametrize("qs, parts", [
+        (list(range(1, 601)), 16),
+        (list(range(1, 601)), 4),
+        ([q for q in range(5, 200) if q % 7], 3),
+        ([1000], 8),
+        (list(range(1, 5)), 32),
+    ])
+    def test_spans_cover_todo_in_order(self, qs, parts):
+        spans = _pair_spans(qs, parts)
+        assert [q for span in spans for q in span] == qs
+        assert all(span for span in spans)
+        total = sum(_totient(q) for q in qs)
+        target = -(-total // parts)
+        for span in spans:
+            pairs = sum(_totient(q) for q in span)
+            assert pairs < target + _totient(span[-1])
+            assert pairs >= target or span is spans[-1]
+        assert len(spans) <= parts
+
+    def test_spans_balance_pairs_not_qs(self):
+        spans = _pair_spans(list(range(1, 601)), 8)
+        assert len(spans[0]) > len(spans[-1])  # small q have fewer pairs each
+
+    def test_resume_larger_range_with_pool(self, tmp_path, monkeypatch):
+        # a checkpoint cut mid-group, resumed to a larger q_max by two
+        # workers, matches a fresh single-process scan
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "scan.csv"
+        scan_conjecture(1, 40, 1000, out)
+        lines = out.read_text().splitlines(keepends=True)
+        cut = next(i for i, l in enumerate(lines) if l.split(",")[1:2] == ["23"]) + 3
+        out.write_text("".join(lines[:cut]))
+        resumed = scan_conjecture(1, 70, 1000, out, jobs=2, resume=True)
+        fresh = tmp_path / "fresh.csv"
+        full = scan_conjecture(1, 70, 1000, fresh, jobs=1)
+        assert out.read_bytes() == fresh.read_bytes()
+        assert (resumed.pairs_total, resumed.n0_histogram, resumed.max_c) == (
+            full.pairs_total, full.n0_histogram, full.max_c)
+
+
 class TestCheckpointParser:
     def test_loads_complete_groups(self, tmp_path):
         out = tmp_path / "scan.csv"
         scan_conjecture(1, 9, 100, out)
         groups = _load_checkpoint(out, 1, 9)
         assert sorted(groups) == list(range(1, 10))
-        assert [r.p for r in groups[9]] == coprime_numerators(9)
+        assert [r[0] for r in groups[9]] == coprime_numerators(9)
 
 
 class TestSampleRerun:
