@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -243,16 +244,8 @@ def _cmd_scan(args) -> int:
         resume=args.resume,
         progress=progress,
     )
-    payload = {
-        "q_min": summary.q_min,
-        "q_max": summary.q_max,
-        "pairs_total": summary.pairs_total,
-        "pairs_zero": summary.pairs_zero,
-        "pairs_maxiter": summary.pairs_maxiter,
-        "n0_histogram": {str(k): v for k, v in summary.n0_histogram.items()},
-        "max_c": summary.max_c,
-        "wall_time_s": round(summary.wall_time_s, 3),
-    }
+    payload = dataclasses.asdict(summary)
+    payload["wall_time_s"] = round(summary.wall_time_s, 3)
     print(json.dumps(payload))
     return 0
 
@@ -291,16 +284,7 @@ def _cmd_seq(args) -> int:
     if args.seq_kind == "growth":
         est = growth_constant(args.m, args.depth)
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "m": est.m,
-                        "depth": est.depth,
-                        "c_hat": est.c_hat,
-                        "residual_bound": est.residual_bound,
-                    }
-                )
-            )
+            print(json.dumps(dataclasses.asdict(est)))
         else:
             print(
                 f"c_hat(m={est.m}, depth={est.depth}) = {est.c_hat}"
@@ -335,21 +319,7 @@ def _cmd_walk(args) -> int:
                     fh.write(f"{i},{h if h >= 0 else ''}\n")
         except OSError as exc:
             raise IoError(f"cannot write hitting times to {args.hits_out}: {exc}") from exc
-    print(
-        json.dumps(
-            {
-                "trials": stats.trials,
-                "steps": stats.steps,
-                "c0": stats.c0,
-                "mean_log_t": stats.mean_log_t,
-                "stderr_log_t": stats.stderr_log_t,
-                "hit_fraction": stats.hit_fraction,
-                "mean_hit_time": stats.mean_hit_time,
-                "seed": stats.seed,
-                "generator_id": stats.generator_id,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(stats)))
     return 0
 
 

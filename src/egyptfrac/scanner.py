@@ -10,17 +10,17 @@ A row is a plain tuple in CSV column order,
 ``(p, q, n0, steps, max_c, status, tail_sign_index)``, from the worker that
 computes it through the pool transfer and the progress callback to the
 checkpoint parser; no object is built per pair.  The unit of work is one q
-group: a worker returns its rows together with their CSV text, so the text
-is formatted in parallel and the parent only writes it.  With several
-workers, the pool's tasks are contiguous runs of q with about equal pair
-counts (phi(q) summed).
+group: a worker returns only its rows, and the parent formats every group,
+fresh or read back from the checkpoint, as CSV in one place.  With several
+workers, ``Pool.imap`` hands out runs of consecutive q values.
 
 Output is a CSV ordered by (q, p), byte-identical regardless of the number
 of worker processes.  Each q group is written and flushed as soon as it and
 every group before it are done, so an interrupted scan leaves the header and
 whole groups.  The checkpoint granularity for --resume is one full q value:
-a q whose row count matches its coprime count is trusted and reused, a
-trailing partial q is recomputed, and anything else in the file that does
+only newline-terminated lines are read as rows, a q whose row count matches
+its coprime count is trusted and reused, a trailing partial q (including a
+cut-off last line) is recomputed, and anything else in the file that does
 not parse back cleanly is reported as a corrupt checkpoint.
 """
 
@@ -31,7 +31,8 @@ import time
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
-from math import gcd
+from functools import partial
+from math import ceil, gcd
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -47,8 +48,8 @@ __all__ = [
 ]
 
 _CSV_HEADER = "p,q,n0,steps,max_c,status,tail_sign_index"
-# pool tasks per worker process; more tasks balance better and stream in
-# smaller steps, fewer cost less transfer
+# pool chunks per worker process; more chunks balance better and stream in
+# smaller steps, fewer cost less task overhead
 _SPANS_PER_JOB = 8
 
 
@@ -112,20 +113,6 @@ def coprime_numerators(q: int) -> list[int]:
     return [p for p in range(1, q + 1) if gcd(p, q) == 1]
 
 
-def _totient(q: int) -> int:
-    """Euler's phi(q), the number of pairs in the q group, by trial division."""
-    phi, n, f = q, q, 2
-    while f * f <= n:
-        if n % f == 0:
-            while n % f == 0:
-                n //= f
-            phi -= phi // f
-        f += 1
-    if n > 1:
-        phi -= phi // n
-    return phi
-
-
 def _format_rows(rows: list[tuple]) -> str:
     """CSV lines of ``rows``, each ending in a newline."""
     return "".join(
@@ -135,8 +122,8 @@ def _format_rows(rows: list[tuple]) -> str:
     )
 
 
-def _scan_q(q: int, n_max: int) -> tuple[int, list[tuple], str]:
-    """Rows of one q group and their CSV text: the unit of work of a scan."""
+def _scan_q(q: int, n_max: int) -> list[tuple]:
+    """Rows of one q group: the unit of work of a scan."""
     rows = []
     for p in coprime_numerators(q):
         # looked up as a module global on every call: the benchmark tracer wraps it
@@ -145,48 +132,18 @@ def _scan_q(q: int, n_max: int) -> tuple[int, list[tuple], str]:
             p, q, trace.n0, trace.steps, max(trace.c),
             "ZERO" if trace.terminated else "MAXITER", _tail_start(trace.e),
         ))
-    return q, rows, _format_rows(rows)
-
-
-def _scan_span(args: tuple[list[int], int]) -> list[tuple[int, list[tuple], str]]:
-    qs, n_max = args
-    return [_scan_q(q, n_max) for q in qs]
-
-
-def _pair_spans(qs: list[int], parts: int) -> list[list[int]]:
-    """Split ``qs`` into contiguous runs of about equal pair count.
-
-    A run closes as soon as its pairs (phi(q) summed) reach
-    ceil(total / parts), so none exceeds that target by as much as the phi
-    of its last q.  Pair counts, not q counts, set the balance: phi(q) is
-    about q/2 for even q and up to q - 1 for odd q.
-    """
-    weights = [_totient(q) for q in qs]
-    target = -(-sum(weights) // parts)
-    spans: list[list[int]] = []
-    span: list[int] = []
-    pairs = 0
-    for q, w in zip(qs, weights):
-        span.append(q)
-        pairs += w
-        if pairs >= target:
-            spans.append(span)
-            span, pairs = [], 0
-    if span:
-        spans.append(span)
-    return spans
+    return rows
 
 
 def _fresh_groups(todo: list[int], n_max: int, jobs: int):
-    """Yield ``_scan_q`` results for ``todo`` in order, computed lazily."""
+    """Yield the rows of each q in ``todo`` in order, computed lazily."""
+    scan_q = partial(_scan_q, n_max=n_max)
     if jobs == 1:
-        for q in todo:
-            yield _scan_q(q, n_max)
+        yield from map(scan_q, todo)
         return
-    spans = _pair_spans(todo, jobs * _SPANS_PER_JOB)
+    chunksize = max(1, ceil(len(todo) / (jobs * _SPANS_PER_JOB)))
     with Pool(processes=jobs) as pool:
-        for groups in pool.imap(_scan_span, [(span, n_max) for span in spans]):
-            yield from groups
+        yield from pool.imap(scan_q, todo, chunksize=chunksize)
 
 
 def _parse_row(line: str, lineno: int) -> tuple:
@@ -207,18 +164,23 @@ def _parse_row(line: str, lineno: int) -> tuple:
 
 
 def _load_checkpoint(path: Path, q_min: int, q_max: int) -> dict[int, list[tuple]]:
-    """Parse completed q-groups out of an existing scan file."""
+    """Parse completed q-groups out of an existing scan file.
+
+    Only newline-terminated lines are rows: a cut-off last line is dropped,
+    so its q counts as a trailing partial group and is recomputed.
+    """
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text().split("\n")
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not lines:
+    if lines == [""]:  # empty file
         return {}
     if lines[0] != _CSV_HEADER:
         raise CorruptCheckpoint(f"unexpected header {lines[0]!r}")
     groups: dict[int, list[tuple]] = {}
     order: list[int] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    # the last piece follows the final newline: empty, or a cut-off row
+    for lineno, line in enumerate(lines[1:-1], start=2):
         if not line:
             continue
         row = _parse_row(line, lineno)
@@ -263,17 +225,22 @@ def scan_conjecture(
 ) -> ScanSummary:
     """Scan all reduced p/q with q_min <= q <= q_max; write CSV, return summary.
 
+    ``n_max`` is the iteration budget per pair and must be at least 1.
     ``jobs`` worker processes share the work; more than ``os.cpu_count()`` is
-    rejected.  The output is opened once the checkpoint (with ``resume``) has
-    been read, and each q group is written and flushed in q order as soon as
-    it is ready, so an interrupted scan leaves whole groups that ``resume``
-    reuses.  ``progress`` may be a callable taking ``(q, rows)``; it is
-    called after each freshly computed group has been written, with ``rows``
-    a list of ``(p, q, n0, steps, max_c, status, tail_sign_index)`` tuples
-    in CSV column order.
+    rejected.  Every argument is checked before the output is touched or a
+    worker starts.  The output is opened once the checkpoint (with
+    ``resume``) has been read; the header goes first, then each q group,
+    reused or freshly computed, is formatted, written and flushed in q order
+    as soon as it is ready, so an interrupted scan leaves whole groups that
+    ``resume`` reuses.  ``progress`` may be a callable taking ``(q, rows)``;
+    it is called after each freshly computed group has been written, with
+    ``rows`` a list of ``(p, q, n0, steps, max_c, status, tail_sign_index)``
+    tuples in CSV column order.
     """
     if q_min < 1 or q_max < q_min:
         raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}..{q_max}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     cores = os.cpu_count() or 1
     if not 1 <= jobs <= cores:
         raise ValueError(f"jobs must be in [1, {cores}] (the CPU count), got {jobs}")
@@ -291,27 +258,19 @@ def scan_conjecture(
         raise IoError(f"cannot write scan output {out_path}: {exc}") from exc
     pairs_total = overall_max_c = 0
     histogram: Counter[int] = Counter()
-    pending = [_CSV_HEADER + "\n"]  # header and cached groups not yet written
     with fh, closing(_fresh_groups(todo, n_max, jobs)) as fresh:
+        _write(fh, _CSV_HEADER + "\n", out_path)
         for q in range(q_min, q_max + 1):
             rows = cached.get(q)
             computed = rows is None
             if computed:
-                # what precedes q goes to disk before q is computed
-                if pending:
-                    _write(fh, "".join(pending), out_path)
-                    pending = []
-                _, rows, text = next(fresh)
-                _write(fh, text, out_path)
-            else:
-                pending.append(_format_rows(rows))
+                rows = next(fresh)
+            _write(fh, _format_rows(rows), out_path)
             pairs_total += len(rows)
             overall_max_c = max(overall_max_c, max(r[4] for r in rows))
             histogram.update(r[2] for r in rows if r[2] is not None)
             if computed and progress is not None:
                 progress(q, rows)
-        if pending:
-            _write(fh, "".join(pending), out_path)
 
     pairs_zero = sum(histogram.values())
     return ScanSummary(

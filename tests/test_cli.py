@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -536,9 +537,15 @@ class TestUsageErrors:
 
 
 class TestEntryPoints:
+    # the subprocess imports the package from this checkout's src, installed or not
+    ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+
     def test_module_runner(self):
         proc = subprocess.run(
             [sys.executable, "-m", "egyptfrac", "--version"],
+            env=self.ENV,
             capture_output=True,
             text=True,
         )
@@ -548,6 +555,7 @@ class TestEntryPoints:
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "egyptfrac", "expand", "--help"],
+            env=self.ENV,
             capture_output=True,
             text=True,
         )

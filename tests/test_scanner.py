@@ -11,8 +11,6 @@ from egyptfrac.scanner import (
     diagnose_tail,
     scan_conjecture,
     _load_checkpoint,
-    _pair_spans,
-    _totient,
 )
 
 
@@ -20,6 +18,10 @@ def read_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "p,q,n0,steps,max_c,status,tail_sign_index"
     return lines[1:]
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
 
 
 class TestDiagnoseTail:
@@ -174,14 +176,36 @@ class TestScanConjecture:
     def test_jobs_bounded_by_cpu_count(self, tmp_path, monkeypatch):
         # the bound is checked before any worker process starts
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
         monkeypatch.setattr(scanner, "Pool", no_pool)
         with pytest.raises(ValueError, match="jobs"):
             scan_conjecture(1, 5, 100, tmp_path / "x.csv", jobs=3)
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_budget_leaves_output_untouched(self, tmp_path, monkeypatch, jobs):
+        # n_max is checked with the other arguments, before the output is
+        # truncated or any worker process starts
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(scanner, "Pool", no_pool)
+        out = tmp_path / "scan.csv"
+        scan_conjecture(1, 5, 100, out)
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match="n_max"):
+            scan_conjecture(1, 5, 0, out, jobs=jobs)
+        assert out.read_bytes() == before
+
+    def test_resume_after_cut_at_any_byte(self, tmp_path):
+        # a killed write can stop anywhere in a line; whatever the cut in the
+        # last two groups, resume must reproduce the fresh scan and never
+        # trust a cut-off row
+        fresh = tmp_path / "fresh.csv"
+        scan_conjecture(1, 30, 1000, fresh)
+        full = fresh.read_bytes()
+        out = tmp_path / "scan.csv"
+        for cut in range(full.index(b"\n1,29,") + 1, len(full)):
+            out.write_bytes(full[:cut])
+            scan_conjecture(1, 30, 1000, out, resume=True)
+            assert out.read_bytes() == full, f"cut at byte {cut}"
 
 
 class Interrupted(Exception):
@@ -227,34 +251,26 @@ class TestStreamedOutput:
         assert {r[5] for r in got} == {"ZERO", "MAXITER"}
 
 
-class TestPairSpans:
-    def test_totient(self):
-        assert [_totient(q) for q in range(1, 400)] == [
-            len(coprime_numerators(q)) for q in range(1, 400)
-        ]
+class TestPool:
+    def test_fewer_q_than_chunks(self, tmp_path, monkeypatch):
+        # three q values over two workers: fewer q than the pool's chunks
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        scan_conjecture(1, 3, 1000, out1, jobs=1)
+        scan_conjecture(1, 3, 1000, out2, jobs=2)
+        assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("qs, parts", [
-        (list(range(1, 601)), 16),
-        (list(range(1, 601)), 4),
-        ([q for q in range(5, 200) if q % 7], 3),
-        ([1000], 8),
-        (list(range(1, 5)), 32),
-    ])
-    def test_spans_cover_todo_in_order(self, qs, parts):
-        spans = _pair_spans(qs, parts)
-        assert [q for span in spans for q in span] == qs
-        assert all(span for span in spans)
-        total = sum(_totient(q) for q in qs)
-        target = -(-total // parts)
-        for span in spans:
-            pairs = sum(_totient(q) for q in span)
-            assert pairs < target + _totient(span[-1])
-            assert pairs >= target or span is spans[-1]
-        assert len(spans) <= parts
-
-    def test_spans_balance_pairs_not_qs(self):
-        spans = _pair_spans(list(range(1, 601)), 8)
-        assert len(spans[0]) > len(spans[-1])  # small q have fewer pairs each
+    def test_resume_of_complete_file_starts_no_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "scan.csv"
+        scan_conjecture(1, 20, 1000, out)
+        before = out.read_bytes()
+        monkeypatch.setattr(scanner, "Pool", no_pool)
+        fresh = []
+        scan_conjecture(1, 20, 1000, out, jobs=2, resume=True,
+                        progress=lambda q, rows: fresh.append(q))
+        assert out.read_bytes() == before
+        assert fresh == []
 
     def test_resume_larger_range_with_pool(self, tmp_path, monkeypatch):
         # a checkpoint cut mid-group, resumed to a larger q_max by two
