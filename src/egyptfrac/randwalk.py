@@ -103,23 +103,9 @@ def run_walks(
         raise ValueError(f"steps must be in [1, 2^32), got {steps}")
     seed_u = np.uint64(seed & _U64_MASK)
 
-    hit_step = np.full(trials, -1, dtype=np.int64)
-    if c0 == 1:
-        hit_step[:] = 0
-        stats = WalkStats(
-            trials=trials,
-            steps=steps,
-            c0=c0,
-            mean_log_t=None,
-            stderr_log_t=None,
-            hit_fraction=1.0,
-            mean_hit_time=0.0,
-            seed=seed,
-            generator_id=GENERATOR_ID,
-        )
-        return stats, hit_step
-
-    active = np.arange(trials, dtype=np.uint64)
+    # c0 = 1 has hit before the first step: no trial is active
+    hit_step = np.full(trials, 0 if c0 == 1 else -1, dtype=np.int64)
+    active = np.arange(0 if c0 == 1 else trials, dtype=np.uint64)
     log_c = np.full(trials, math.log(c0), dtype=np.float64)
     sum_lt = 0.0
     sum_lt2 = 0.0

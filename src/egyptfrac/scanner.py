@@ -8,25 +8,28 @@ loudly by the CLI, but they are not errors.
 
 A row is a plain tuple in CSV column order,
 ``(p, q, n0, steps, max_c, status, tail_sign_index)``, from the worker that
-computes it through the pool transfer and the progress callback to the
-checkpoint parser; no object is built per pair.  The unit of work is one q
-group: a worker returns only its rows, and the parent formats every group,
-fresh or read back from the checkpoint, as CSV in one place.  With several
-workers, ``Pool.imap`` hands out runs of consecutive q values.
+computes it through the pool transfer to the progress callback; no object
+is built per pair.  The unit of work is one q group: a worker returns only
+its rows, and the parent formats each group as CSV.  With several workers,
+``Pool.imap`` hands out runs of consecutive q values.
 
 Output is a CSV ordered by (q, p), byte-identical regardless of the number
-of worker processes.  Each q group is written and flushed as soon as it and
+of worker processes.  Each q group is appended and flushed as soon as it and
 every group before it are done, so an interrupted scan leaves the header and
-whole groups.  The checkpoint granularity for --resume is one full q value:
-only newline-terminated lines are read as rows, a q whose row count matches
-its coprime count is trusted and reused, a trailing partial q (including a
-cut-off last line) is recomputed, and anything else in the file that does
-not parse back cleanly is reported as a corrupt checkpoint.
+whole groups.  --resume appends to such a file and never rewrites what it
+keeps: the file must be a prefix of what the scan writes (the header, then
+the groups of q_min, q_min + 1, ... in canonical form), and each kept row
+must be what the budget produces (ZERO after n0 <= n_max steps, or MAXITER
+after exactly n_max).  A trailing partial group, a cut-off last line
+included, is truncated and recomputed; anything else is a corrupt
+checkpoint, reported before the file changes.  A fresh scan is a resume
+from an empty file.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import time
 from collections import Counter
 from contextlib import closing
@@ -47,7 +50,10 @@ __all__ = [
     "coprime_numerators",
 ]
 
-_CSV_HEADER = "p,q,n0,steps,max_c,status,tail_sign_index"
+_CSV_HEADER = b"p,q,n0,steps,max_c,status,tail_sign_index\n"
+_INT = rb"[1-9][0-9]*"
+# a canonical row: positive integers without leading zeros; n0 and tail may be empty
+_ROW = re.compile(rb"(%b),(%b),(%b)?,(%b),(%b),(ZERO|MAXITER),(?:%b)?\n" % ((_INT,) * 6))
 # pool chunks per worker process; more chunks balance better and stream in
 # smaller steps, fewer cost less task overhead
 _SPANS_PER_JOB = 8
@@ -113,13 +119,13 @@ def coprime_numerators(q: int) -> list[int]:
     return [p for p in range(1, q + 1) if gcd(p, q) == 1]
 
 
-def _format_rows(rows: list[tuple]) -> str:
+def _format_rows(rows: list[tuple]) -> bytes:
     """CSV lines of ``rows``, each ending in a newline."""
     return "".join(
         f"{p},{q},{'' if n0 is None else n0},{steps},{max_c},{status},"
         f"{'' if tail is None else tail}\n"
         for p, q, n0, steps, max_c, status, tail in rows
-    )
+    ).encode()
 
 
 def _scan_q(q: int, n_max: int) -> list[tuple]:
@@ -135,7 +141,7 @@ def _scan_q(q: int, n_max: int) -> list[tuple]:
     return rows
 
 
-def _fresh_groups(todo: list[int], n_max: int, jobs: int):
+def _fresh_groups(todo: range, n_max: int, jobs: int):
     """Yield the rows of each q in ``todo`` in order, computed lazily."""
     scan_q = partial(_scan_q, n_max=n_max)
     if jobs == 1:
@@ -146,66 +152,47 @@ def _fresh_groups(todo: list[int], n_max: int, jobs: int):
         yield from pool.imap(scan_q, todo, chunksize=chunksize)
 
 
-def _parse_row(line: str, lineno: int) -> tuple:
-    parts = line.split(",")
-    if len(parts) != 7:
-        raise CorruptCheckpoint(f"line {lineno}: expected 7 fields, got {len(parts)}")
-    try:
-        p, q = int(parts[0]), int(parts[1])
-        n0 = int(parts[2]) if parts[2] else None
-        steps, max_c = int(parts[3]), int(parts[4])
-        status = parts[5]
-        tail = int(parts[6]) if parts[6] else None
-    except ValueError as exc:
-        raise CorruptCheckpoint(f"line {lineno}: {exc}") from None
-    if status not in ("ZERO", "MAXITER") or (status == "ZERO") != (n0 is not None):
-        raise CorruptCheckpoint(f"line {lineno}: inconsistent status {status!r}")
-    return p, q, n0, steps, max_c, status, tail
+def _reused_row(line: bytes, p: int, q: int, n_max: int) -> tuple:
+    """``(p, q, n0, steps, max_c)`` of a checkpoint line that must be the row of p/q."""
+    m = _ROW.fullmatch(line)
+    if m is None or (int(m[1]), int(m[2])) != (p, q):
+        raise CorruptCheckpoint(f"expected the row of {p}/{q}, got {line[:80]!r}")
+    n0 = int(m[3]) if m[3] else None
+    steps = int(m[4])
+    # what budget n_max produces: ZERO after n0 <= n_max steps, or n_max steps
+    if not (steps == n0 <= n_max if m[6] == b"ZERO" else n0 is None and steps == n_max):
+        raise CorruptCheckpoint(f"the row of {p}/{q} is not what n_max={n_max} produces")
+    return p, q, n0, steps, int(m[5])
 
 
-def _load_checkpoint(path: Path, q_min: int, q_max: int) -> dict[int, list[tuple]]:
-    """Parse completed q-groups out of an existing scan file.
+def _reusable_groups(fh, q_min: int, q_max: int, n_max: int):
+    """Yield the rows of each whole q group the scan file already holds.
 
-    Only newline-terminated lines are rows: a cut-off last line is dropped,
-    so its q counts as a trailing partial group and is recomputed.
+    Checks the file against the prefix rule of the module docstring and
+    raises ``CorruptCheckpoint`` before changing it; then truncates a trailing
+    partial group, leaving ``fh`` where the next group is appended.
     """
-    try:
-        lines = path.read_text().split("\n")
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
-    if lines == [""]:  # empty file
-        return {}
-    if lines[0] != _CSV_HEADER:
-        raise CorruptCheckpoint(f"unexpected header {lines[0]!r}")
-    groups: dict[int, list[tuple]] = {}
-    order: list[int] = []
-    # the last piece follows the final newline: empty, or a cut-off row
-    for lineno, line in enumerate(lines[1:-1], start=2):
-        if not line:
-            continue
-        row = _parse_row(line, lineno)
-        q = row[1]
-        if not q_min <= q <= q_max:
-            raise CorruptCheckpoint(f"line {lineno}: q={q} outside scanned range")
-        if q not in groups:
-            if order and q <= order[-1]:
-                raise CorruptCheckpoint(f"line {lineno}: q values out of order")
-            order.append(q)
-            groups[q] = []
-        groups[q].append(row)
-    complete: dict[int, list[tuple]] = {}
-    for idx, q in enumerate(order):
-        rows = groups[q]
-        if [r[0] for r in rows] == coprime_numerators(q):
-            complete[q] = rows
-        elif idx == len(order) - 1:
-            pass  # trailing partial q: recompute it
-        else:
-            raise CorruptCheckpoint(f"q={q} is incomplete mid-file")
-    return complete
+    header = fh.readline()
+    if header and header != _CSV_HEADER:
+        raise CorruptCheckpoint(f"unexpected header {header[:80]!r}")
+    end = fh.tell()
+    for q in range(q_min, q_max + 1):
+        ps = coprime_numerators(q)
+        lines = [fh.readline() for _ in ps]
+        # a line without its newline is a cut-off last line or the end of file
+        rows = [_reused_row(line, p, q, n_max)
+                for p, line in zip(ps, lines) if line.endswith(b"\n")]
+        if len(rows) < len(ps):
+            break
+        end = fh.tell()
+        yield rows
+    if fh.readline().endswith(b"\n"):  # never after a break: that hit the end
+        raise CorruptCheckpoint(f"rows past q={q_max}")
+    fh.seek(end)
+    fh.truncate()
 
 
-def _write(fh, text: str, path: Path) -> None:
+def _write(fh, text: bytes, path: Path) -> None:
     """Append ``text`` to the scan output and flush it, so a killed run keeps it."""
     try:
         fh.write(text)
@@ -228,11 +215,12 @@ def scan_conjecture(
     ``n_max`` is the iteration budget per pair and must be at least 1.
     ``jobs`` worker processes share the work; more than ``os.cpu_count()`` is
     rejected.  Every argument is checked before the output is touched or a
-    worker starts.  The output is opened once the checkpoint (with
-    ``resume``) has been read; the header goes first, then each q group,
-    reused or freshly computed, is formatted, written and flushed in q order
-    as soon as it is ready, so an interrupted scan leaves whole groups that
-    ``resume`` reuses.  ``progress`` may be a callable taking ``(q, rows)``;
+    worker starts.  The output is opened once: with ``resume`` an existing
+    file is kept, and it must be a prefix of this scan's output whose rows
+    are what ``n_max`` produces (see the module docstring); otherwise it is
+    truncated.  Each missing q group is then computed, appended and flushed
+    in q order, so an interrupted scan leaves whole groups that ``resume``
+    reuses.  ``progress`` may be a callable taking ``(q, rows)``;
     it is called after each freshly computed group has been written, with
     ``rows`` a list of ``(p, q, n0, steps, max_c, status, tail_sign_index)``
     tuples in CSV column order.
@@ -247,30 +235,35 @@ def scan_conjecture(
     out_path = Path(out_path)
     started = time.perf_counter()
 
-    cached: dict[int, list[tuple]] = {}
-    if resume and out_path.exists():
-        cached = _load_checkpoint(out_path, q_min, q_max)
-    todo = [q for q in range(q_min, q_max + 1) if q not in cached]
-
     try:
-        fh = open(out_path, "w", newline="")
+        fh = open(out_path, "r+b" if resume and out_path.exists() else "w+b")
     except OSError as exc:
         raise IoError(f"cannot write scan output {out_path}: {exc}") from exc
     pairs_total = overall_max_c = 0
     histogram: Counter[int] = Counter()
-    with fh, closing(_fresh_groups(todo, n_max, jobs)) as fresh:
-        _write(fh, _CSV_HEADER + "\n", out_path)
-        for q in range(q_min, q_max + 1):
-            rows = cached.get(q)
-            computed = rows is None
-            if computed:
-                rows = next(fresh)
-            _write(fh, _format_rows(rows), out_path)
-            pairs_total += len(rows)
-            overall_max_c = max(overall_max_c, max(r[4] for r in rows))
-            histogram.update(r[2] for r in rows if r[2] is not None)
-            if computed and progress is not None:
-                progress(q, rows)
+
+    def tally(rows: list[tuple]) -> None:
+        nonlocal pairs_total, overall_max_c
+        pairs_total += len(rows)
+        overall_max_c = max(overall_max_c, max(r[4] for r in rows))
+        histogram.update(r[2] for r in rows if r[2] is not None)
+
+    with fh:
+        reused = 0
+        try:
+            for reused, rows in enumerate(_reusable_groups(fh, q_min, q_max, n_max), 1):
+                tally(rows)
+        except OSError as exc:
+            raise IoError(f"cannot read checkpoint {out_path}: {exc}") from exc
+        if fh.tell() == 0:
+            _write(fh, _CSV_HEADER, out_path)
+        todo = range(q_min + reused, q_max + 1)
+        with closing(_fresh_groups(todo, n_max, jobs)) as fresh:
+            for q, rows in zip(todo, fresh):
+                _write(fh, _format_rows(rows), out_path)
+                tally(rows)
+                if progress is not None:
+                    progress(q, rows)
 
     pairs_zero = sum(histogram.values())
     return ScanSummary(

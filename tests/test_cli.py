@@ -475,6 +475,16 @@ class TestScanCommand:
         rows = out_file.read_text().splitlines()
         assert rows[-1].split(",")[1] == "15"
 
+    def test_resume_under_another_maxiter_is_domain_error(self, capsys, tmp_path):
+        out_file = tmp_path / "scan.csv"
+        args = ("scan", "--qmin", "1", "--qmax", "20", "--out", str(out_file))
+        assert run_cli(capsys, *args, "--maxiter", "3")[0] == 0
+        before = out_file.read_bytes()
+        code, out, err = run_cli(capsys, *args, "--maxiter", "10000", "--resume")
+        assert (code, out) == (1, "")
+        assert err.startswith("error[CorruptCheckpoint]: the row of 2/7 is not what n_max=10000")
+        assert out_file.read_bytes() == before
+
 
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter digit limit"

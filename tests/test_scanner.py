@@ -10,7 +10,7 @@ from egyptfrac.scanner import (
     coprime_numerators,
     diagnose_tail,
     scan_conjecture,
-    _load_checkpoint,
+    _reusable_groups,
 )
 
 
@@ -22,6 +22,26 @@ def read_rows(path):
 
 def no_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
+
+
+def without_q(data, qs):
+    """Scan file bytes with every row of the given q values removed."""
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines[:1] + [l for l in lines[1:] if int(l.split(b",")[1]) not in qs])
+
+
+# files the program never writes; a resume must refuse each of them, since
+# it continues one scan of q = 1..12 and does not merge or repair files
+NOT_A_PREFIX = {
+    "starts_after_q_min": lambda full: without_q(full, {1, 2, 3, 4}),
+    "missing_mid_file_q": lambda full: without_q(full, {6}),
+    "empty_line": lambda full: full.replace(b"\n1,7,", b"\n\n1,7,"),
+    "crlf": lambda full: full.replace(b"\n", b"\r\n"),
+    "leading_zero": lambda full: full.replace(b"\n1,7,", b"\n01,7,"),
+    "wrong_p_in_partial_q": lambda full: (
+        full[: full.index(b"\n7,12,") + 1].replace(b"\n5,12,", b"\n7,12,")),
+    "rows_past_q_max": lambda full: full + b"1,13,1,1,13,ZERO,1\n",
+}
 
 
 class TestDiagnoseTail:
@@ -194,6 +214,55 @@ class TestScanConjecture:
             scan_conjecture(1, 5, 0, out, jobs=jobs)
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize("case", sorted(NOT_A_PREFIX))
+    def test_resume_requires_a_prefix_of_the_scan(self, tmp_path, case):
+        fresh = tmp_path / "fresh.csv"
+        scan_conjecture(1, 12, 100, fresh)
+        out = tmp_path / "scan.csv"
+        out.write_bytes(NOT_A_PREFIX[case](fresh.read_bytes()))
+        before = out.read_bytes()
+        with pytest.raises(CorruptCheckpoint):
+            scan_conjecture(1, 12, 100, out, resume=True)
+        assert out.read_bytes() == before
+
+    def test_resume_rejects_rows_of_another_budget(self, tmp_path):
+        # MAXITER after 3 steps is not what 10000 steps give, and a ZERO
+        # after more than 3 steps is not what 3 steps give
+        out = tmp_path / "scan.csv"
+        assert scan_conjecture(1, 20, 3, out).pairs_maxiter == 52
+        before = out.read_bytes()
+        with pytest.raises(CorruptCheckpoint, match=r"of 2/7 is not what n_max=10000"):
+            scan_conjecture(1, 20, 10000, out, resume=True)
+        assert out.read_bytes() == before
+        scan_conjecture(1, 20, 10000, out)
+        before = out.read_bytes()
+        with pytest.raises(CorruptCheckpoint, match=r"n_max=3\b"):
+            scan_conjecture(1, 20, 3, out, resume=True)
+        assert out.read_bytes() == before
+
+    def test_resume_keeps_zero_rows_under_a_larger_budget(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert scan_conjecture(1, 25, 50, out).pairs_maxiter == 0
+        scan_conjecture(1, 30, 5000, out, resume=True)
+        fresh = tmp_path / "fresh.csv"
+        scan_conjecture(1, 30, 5000, fresh)
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_resume_formats_only_computed_groups(self, tmp_path, monkeypatch):
+        # reused groups stay as the bytes already in the file; only the
+        # computed ones are formatted
+        out = tmp_path / "scan.csv"
+        scan_conjecture(1, 20, 1000, out)
+        full = out.read_bytes()
+        out.write_bytes(full[: full.index(b"\n4,15,") + 1])
+        formatted = []
+        format_rows = scanner._format_rows
+        monkeypatch.setattr(scanner, "_format_rows",
+                            lambda rows: formatted.append(rows[0][1]) or format_rows(rows))
+        scan_conjecture(1, 20, 1000, out, resume=True)
+        assert formatted == list(range(15, 21))
+        assert out.read_bytes() == full
+
     def test_resume_after_cut_at_any_byte(self, tmp_path):
         # a killed write can stop anywhere in a line; whatever the cut in the
         # last two groups, resume must reproduce the fresh scan and never
@@ -293,9 +362,11 @@ class TestCheckpointParser:
     def test_loads_complete_groups(self, tmp_path):
         out = tmp_path / "scan.csv"
         scan_conjecture(1, 9, 100, out)
-        groups = _load_checkpoint(out, 1, 9)
-        assert sorted(groups) == list(range(1, 10))
-        assert [r[0] for r in groups[9]] == coprime_numerators(9)
+        with open(out, "r+b") as fh:
+            groups = list(_reusable_groups(fh, 1, 9, 100))
+            assert fh.tell() == out.stat().st_size
+        assert [[r[:2] for r in rows] for rows in groups] == [
+            [(p, q) for p in coprime_numerators(q)] for q in range(1, 10)]
 
 
 class TestSampleRerun:
