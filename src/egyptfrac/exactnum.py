@@ -7,6 +7,11 @@ with a, b rational and D a positive non-square integer are represented by
 signs, comparisons, rounding, and decimal rendering are all decided with
 integer arithmetic, so every result is exact.
 
+Quadratic signs, floors and inverses read one integer view of a value,
+x = (A + B*sqrt(rad))/q with q the lcm of the denominators of a and b:
+floor(x) = (A + f) // q, where f = floor(B*sqrt(rad)) is r = isqrt(B^2*rad)
+for B >= 0 and -r - 1 for B < 0.
+
 The one global rounding convention, used everywhere in the package, is
 nearest-integer with ties toward +infinity: round(x) = floor(x + 1/2).
 
@@ -43,17 +48,20 @@ __all__ = [
     "int_to_decimal_str",
 ]
 
-def _rat_sign(x: int | Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _int_sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _is_square(n: int) -> bool:
     r = isqrt(n)
     return r * r == n
+
+
+def _integer_view(x: "QuadraticValue") -> tuple[int, int, int]:
+    """Integers (A, B, q) with x = (A + B*sqrt(rad))/q, q = lcm of the denominators."""
+    a, b = x.a, x.b
+    q = lcm(a.denominator, b.denominator)
+    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
 
 
 class QuadraticValue:
@@ -105,16 +113,18 @@ class QuadraticValue:
         """Sign of the real number a + b*sqrt(rad), decided exactly.
 
         When a and b do not disagree in sign the answer is immediate;
-        otherwise compare a^2 against rad*b^2 (they can only be equal when
-        a = b = 0, since rad is not a square).
+        otherwise compare a^2 against rad*b^2, cleared of denominators as the
+        ints (a.num*b.den)^2 and rad*(b.num*a.den)^2.  They are never equal,
+        since rad is not a square and a, b are both nonzero here.
         """
-        sa, sb = _rat_sign(self.a), _rat_sign(self.b)
+        a, b = self.a, self.b
+        sa, sb = _int_sign(a.numerator), _int_sign(b.numerator)
         if sb == 0:
             return sa
         if sa == 0 or sa == sb:
             return sb
-        s = _rat_sign(self.a * self.a - self.rad * self.b * self.b)
-        return sa * s
+        a_sq = (a.numerator * b.denominator) ** 2
+        return sa if a_sq > self.rad * (b.numerator * a.denominator) ** 2 else sb
 
     # -- arithmetic -------------------------------------------------------
 
@@ -151,12 +161,13 @@ class QuadraticValue:
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticValue":
-        """Exact reciprocal via the conjugate: 1/(a+b*sqrt(D)) = (a-b*sqrt(D))/(a^2-D*b^2)."""
-        if self.is_zero():
+        """Exact reciprocal via the conjugate: q/(A+B*sqrt(D)) = q*(A-B*sqrt(D))/(A^2-D*B^2)."""
+        A, B, q = _integer_view(self)
+        # the norm is 0 only for A = B = 0, since rad is not a square
+        norm = A * A - self.rad * B * B
+        if norm == 0:
             raise ZeroDivisionError("division by zero quadratic value")
-        norm = self.a * self.a - self.rad * self.b * self.b
-        # norm == 0 would force sqrt(rad) rational; the constructor excludes that
-        return QuadraticValue(self.a / norm, -self.b / norm, self.rad)
+        return QuadraticValue(Fraction(q * A, norm), Fraction(-q * B, norm), self.rad)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -223,61 +234,56 @@ class QuadraticValue:
 ExactValue = Fraction | QuadraticValue
 
 
+def _exact(x) -> ExactValue:
+    """A QuadraticValue as is; any other input converted with ``Fraction(x)``."""
+    return x if isinstance(x, QuadraticValue) else Fraction(x)
+
+
 def sign_of(x) -> int:
-    """Sign of an int, Fraction, or QuadraticValue."""
-    if isinstance(x, QuadraticValue):
-        return x.sign()
-    return _rat_sign(x)
+    """Sign of an exact value; non-quadratic input goes through ``Fraction(x)``."""
+    x = _exact(x)
+    return x.sign() if isinstance(x, QuadraticValue) else _int_sign(x.numerator)
 
 
 def _quad_floor(x: QuadraticValue) -> int:
-    """Exact floor of a quadratic value.
+    """Exact floor of a quadratic value, from its integer view alone.
 
-    A candidate comes from an integer square root of rad carrying enough
-    extra bits to localise b*sqrt(rad) to within 1/4; exact sign tests then
-    fix the at-most-off-by-one candidate.  No precision parameter needed.
+    Write x = (A + B*sqrt(rad))/q with integers A, B and q >= 1, and let
+    r = isqrt(B^2 * rad).  For B != 0, B*sqrt(rad) is irrational, so its
+    floor is r when B > 0 and -r - 1 when B < 0; for B = 0 it is 0 = r.
+    With N = A + floor(B*sqrt(rad)) and 0 <= t < 1 the fractional part,
+    floor((N + t)/q) = floor(N/q), because q*floor(N/q) <= N <= N + t <
+    N + 1 <= q*(floor(N/q) + 1).  So the floor is one integer division.
     """
-    if x.b == 0:
-        return x.a.numerator // x.a.denominator
-    b = x.b
-    extra = max(0, b.numerator.bit_length() - b.denominator.bit_length()) + 42
-    s = isqrt(x.rad << (2 * extra))
-    # s/2^extra <= sqrt(rad) < (s+1)/2^extra; pick the side that underestimates x
-    approx = Fraction(s if b > 0 else s + 1, 1 << extra)
-    est = x.a + b * approx
-    n = est.numerator // est.denominator
-    while (x - (n + 1)).sign() >= 0:
-        n += 1
-    while (x - n).sign() < 0:
-        n -= 1
-    return n
+    A, B, q = _integer_view(x)
+    r = isqrt(B * B * x.rad)
+    return (A + (r if B >= 0 else -r - 1)) // q
 
 
 def nearest_int(x) -> int:
-    """Nearest integer floor(x + 1/2) to an int, Fraction, or QuadraticValue.
+    """Nearest integer floor(x + 1/2) to an exact value.
 
-    Exact ties round toward +infinity.  A quadratic value with b = 0 is
-    rounded as the rational a.
+    Exact ties round toward +infinity.  Non-quadratic input goes through
+    ``Fraction(x)`` first, so the result is always an int.
     """
-    if isinstance(x, int):
-        return x
+    x = _exact(x)
     if isinstance(x, QuadraticValue):
-        if x.b:
-            return _quad_floor(x + Fraction(1, 2))
-        x = x.a
+        return _quad_floor(x + Fraction(1, 2))
     # floor(x + 1/2) via one integer floor division (denominator is > 0)
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 def floor_value(x) -> int:
+    """Floor of an exact value; non-quadratic input goes through ``Fraction(x)``."""
+    x = _exact(x)
     if isinstance(x, QuadraticValue):
         return _quad_floor(x)
-    x = Fraction(x)
     return x.numerator // x.denominator
 
 
 def ceil_value(x) -> int:
-    return -floor_value(-x)
+    """Ceiling of an exact value; non-quadratic input goes through ``Fraction(x)``."""
+    return -floor_value(-_exact(x))
 
 
 # Integers with more bits than this are rendered through ``decimal``; read at
@@ -344,9 +350,7 @@ def to_decimal(x, digits: int) -> str:
     """
     if not 1 <= digits <= 10**6:
         raise ValueError(f"digits must be in [1, 10^6], got {digits}")
-    if not isinstance(x, QuadraticValue):
-        x = Fraction(x)
-    m = nearest_int(x * 10**digits)
+    m = nearest_int(_exact(x) * 10**digits)
     q, r = divmod(abs(m), 10**digits)
     sign = "-" if m < 0 else ""
     return f"{sign}{int_to_decimal_str(q)}.{int_to_decimal_str(r).zfill(digits)}"
@@ -395,9 +399,7 @@ def format_value(x) -> str:
         x = Fraction(x)
     if isinstance(x, Fraction):
         return f"{int_to_decimal_str(x.numerator)}/{int_to_decimal_str(x.denominator)}"
-    q = lcm(x.a.denominator, x.b.denominator)
-    a_num = x.a.numerator * (q // x.a.denominator)
-    b_num = x.b.numerator * (q // x.b.denominator)
+    a_num, b_num, q = _integer_view(x)
     if b_num == 0:
         return f"{int_to_decimal_str(a_num)}/{int_to_decimal_str(q)}"
     sgn = "+" if b_num > 0 else "-"

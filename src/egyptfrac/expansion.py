@@ -119,7 +119,7 @@ def expand(
     for n in range(1, max_terms + 1):
         if rational and x == 0:
             return Expansion(kind, records, ExpansionStatus.EXACT, zero_gap_at)
-        inv = 1 / x if rational else x.inverse()
+        inv = 1 / x
         if kind is ExpansionKind.PSEUDO_GREEDY:
             a = nearest_int(inv + 1)
         elif kind is ExpansionKind.GREEDY:

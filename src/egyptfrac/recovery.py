@@ -75,10 +75,6 @@ def threshold(beta) -> Fraction | QuadraticValue:
     return 8 * t * t
 
 
-def _invert(x):
-    return x.inverse() if isinstance(x, QuadraticValue) else 1 / x
-
-
 def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
     """Iterate a_n = round(1/x_n + beta) from x_1 = r for ``n_terms`` steps.
 
@@ -100,7 +96,7 @@ def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
     for n in range(1, n_terms + 1):
         if sign_of(x) <= 0:
             raise RecoveryBreakdown(n, f"remainder x_{n} = {x} is not positive")
-        inv = _invert(x)
+        inv = 1 / x
         a = nearest_int(inv + beta)
         if a < 1:
             raise RecoveryBreakdown(n, f"recovered term a_{n} = {a} < 1")
@@ -144,7 +140,7 @@ def verify_characterization(a, r, beta) -> list[CharacterizationCheck]:
     checks: list[CharacterizationCheck] = []
     x = r
     for n, a_n in enumerate(terms, start=1):
-        inv = _invert(x)
+        inv = 1 / x
         met = sign_of(a_n - thr) >= 0
         checks.append(
             CharacterizationCheck(

@@ -56,7 +56,7 @@ _INT = rb"[1-9][0-9]*"
 _ROW = re.compile(rb"(%b),(%b),(%b)?,(%b),(%b),(ZERO|MAXITER),(?:%b)?\n" % ((_INT,) * 6))
 # pool chunks per worker process; more chunks balance better and stream in
 # smaller steps, fewer cost less task overhead
-_SPANS_PER_JOB = 8
+_CHUNKS_PER_JOB = 8
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def _fresh_groups(todo: range, n_max: int, jobs: int):
     if jobs == 1:
         yield from map(scan_q, todo)
         return
-    chunksize = max(1, ceil(len(todo) / (jobs * _SPANS_PER_JOB)))
+    chunksize = max(1, ceil(len(todo) / (jobs * _CHUNKS_PER_JOB)))
     with Pool(processes=jobs) as pool:
         yield from pool.imap(scan_q, todo, chunksize=chunksize)
 

@@ -76,12 +76,13 @@ def fib_pow2(n: int) -> int:
 class GrowthEstimate:
     """Estimate of the constant c(m) with s_n(m) ~ c(m)^(2^n).
 
-    ``c_hat`` is exp(2^-depth * ln s_depth(m)); the logarithm of the big
-    integer is taken from its bit length plus the leading 64 bits, which is
-    good to ~15 significant decimal digits.  ``residual_bound`` bounds
-    |c_hat - c(m)| by the tail estimate c_hat * 2^-depth / s_depth(m),
-    rendered in scientific notation (it underflows floats quickly, so it is
-    computed in log space).
+    ``c_hat`` is exp(2^-depth * ln s_depth(m)), a float printed to 12
+    significant digits; the logarithm of the big integer is taken from its
+    bit length plus the leading 64 bits.  ``residual_bound`` is the tail
+    estimate c_hat * 2^-depth / s_depth(m) of the truncation at ``depth``
+    only, rendered in scientific notation (it underflows floats quickly, so
+    it is computed in log space); it does not cover the rounding of c_hat,
+    whose error is about 1e-12.
     """
 
     m: int

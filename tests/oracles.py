@@ -20,9 +20,9 @@ def sqrt_bounds(d: int, scale_digits: int = 12) -> tuple[Fraction, Fraction]:
 def interval_nearest_int(a: Fraction, b: Fraction, d: int) -> int:
     """Nearest integer (ties toward +inf) to a + b*sqrt(d) by interval arithmetic.
 
-    Only returns when the interval pins a single answer; tightens the
-    bracket until it does.  Ties cannot be decided this way, so callers use
-    it on irrational inputs only (b != 0).
+    Only returns when the interval pins a single answer; doubles the digits
+    of the bracket until it does.  Ties cannot be decided this way, so
+    callers use it on irrational inputs only (b != 0).
     """
     digits = 12
     while True:
@@ -35,7 +35,7 @@ def interval_nearest_int(a: Fraction, b: Fraction, d: int) -> int:
         n_hi = (2 * hi.numerator + hi.denominator) // (2 * hi.denominator)
         if n_lo == n_hi:
             return n_lo
-        digits += 8
+        digits *= 2
 
 
 def fib_additive(n_max: int) -> list[int]:

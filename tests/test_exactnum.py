@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 import random
 import sys
@@ -15,7 +16,9 @@ from egyptfrac.errors import RadicandMismatch
 from egyptfrac.exactnum import (
     DECIMAL_PATH_BITS,
     QuadraticValue,
+    ceil_value,
     decimal_digits,
+    floor_value,
     format_value,
     int_to_decimal_str,
     nearest_int,
@@ -179,9 +182,103 @@ class TestQuadNearestInt:
             assert nearest_int(x) == interval_nearest_int(x.a, x.b, d)
 
     def test_huge_b_coefficient(self):
-        # the sqrt bracket must adapt to the size of b
+        # b*sqrt(5) is a 51-digit irrational; its floor must still be exact
         x = q5(0, 10**50)
         assert nearest_int(x) == interval_nearest_int(x.a, x.b, 5)
+
+
+class TestInputContract:
+    """Every rounding function treats non-quadratic input as ``Fraction(x)``."""
+
+    @pytest.mark.parametrize("f, result_type", [
+        (nearest_int, int),
+        (floor_value, int),
+        (ceil_value, int),
+        (sign_of, int),
+        pytest.param(functools.partial(to_decimal, digits=3), str, id="to_decimal"),
+    ])
+    @pytest.mark.parametrize("x", [0.5, decimal.Decimal("2.5"), "7/2", True])
+    def test_same_as_fraction(self, f, result_type, x):
+        got = f(x)
+        assert type(got) is result_type
+        assert got == f(Fraction(x))
+
+
+def _pell_units(d: int, count: int) -> list[tuple[int, int]]:
+    """Solutions (p, q) of p^2 - d*q^2 = 1 past 10^31, found by plain search then powers."""
+    q = 1
+    while math.isqrt(d * q * q + 1) ** 2 != d * q * q + 1:
+        q += 1
+    p1, q1 = math.isqrt(d * q * q + 1), q
+    p, q, out = p1, q1, []
+    # (p + q*sqrt(d)) * (p1 + q1*sqrt(d)) is the next unit
+    while len(out) < count:
+        if p > 10**31:
+            out.append((p, q))
+        p, q = p * p1 + d * q * q1, p * q1 + q * p1
+    return out
+
+
+def _oracle_floor(x: QuadraticValue) -> int:
+    return interval_nearest_int(x.a - Fraction(1, 2), x.b, x.rad)
+
+
+def _oracle_sign(x: QuadraticValue) -> int:
+    if x.a == 0 and x.b == 0:
+        return 0
+    return 1 if _oracle_floor(x) >= 0 else -1
+
+
+def _integer_view_cases(d: int) -> list[QuadraticValue]:
+    """Values in Q(sqrt(d)) whose floor, sign and inverse are checked by the oracle."""
+    rng = random.Random(d)
+    cases = []
+    for _ in range(12):
+        a = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+        b = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
+        cases += [QuadraticValue(a, b, d), QuadraticValue(a, -b, d), QuadraticValue(a, 0, d)]
+    # p - q*sqrt(d) = 1/(p + q*sqrt(d)) is below 10**-31: integers approached
+    # from above and below, with and without a shared denominator
+    for p, q in _pell_units(d, 2):
+        for n in (-3, 0, 1, 10**12):
+            cases += [QuadraticValue(n + p, -q, d), QuadraticValue(n - p, q, d)]
+        cases.append(QuadraticValue(Fraction(p, 7), Fraction(-q, 7), d))
+    cases += [QuadraticValue(Fraction(7 * 10**31 + s, 10**31), 0, d) for s in (-1, 0, 1)]
+    # a 10**4-digit b against an a of the opposite sign that nearly cancels it
+    b = 10**9999 + rng.randint(1, 10**100)
+    a = -math.isqrt(b * b * d) + rng.randint(-3, 3)
+    cases += [QuadraticValue(a, b, d), QuadraticValue(-a, -b, d), QuadraticValue(0, 0, d)]
+    return cases
+
+
+_RADICANDS = [2, 3, 7, 9_999_999_999]
+
+
+class TestIntegerViewAgainstOracle:
+    """floor, ceil, sign and inverse against interval arithmetic on sqrt(d)."""
+
+    @pytest.mark.parametrize("d", _RADICANDS)
+    def test_floor_and_ceil(self, d):
+        for x in _integer_view_cases(d):
+            assert floor_value(x) == _oracle_floor(x), x
+            assert ceil_value(x) == -_oracle_floor(-x), x
+
+    @pytest.mark.parametrize("d", _RADICANDS)
+    def test_sign(self, d):
+        for x in _integer_view_cases(d):
+            assert x.sign() == _oracle_sign(x), x
+            assert (-x).sign() == -_oracle_sign(x), x
+
+    @pytest.mark.parametrize("d", _RADICANDS)
+    def test_inverse(self, d):
+        for x in _integer_view_cases(d):
+            if x.a == 0 and x.b == 0:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+                continue
+            inv = x.inverse()
+            assert x * inv == 1, x
+            assert _oracle_sign(inv) == _oracle_sign(x), x
 
 
 class TestQuadToDecimal:
