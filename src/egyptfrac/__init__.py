@@ -7,6 +7,11 @@ a modular residue-chain algorithm, nearest-integer recovery of doubly
 exponential sequences (Sylvester, Millin) from their reciprocal sums, an
 exhaustive zero-gap scanner, and the multiplicative random-walk heuristic
 for the bookkeeping numerators.
+
+Everything but the random walk uses the standard library alone.  The walk
+(:mod:`egyptfrac.randwalk`) needs numpy, installed with
+``pip install 'egyptfrac[walk]'``; it is imported only when one of its names
+is first used, so importing the package never loads numpy.
 """
 
 __version__ = "0.1.0"
@@ -16,6 +21,7 @@ from .errors import (
     DepthExceeded,
     EgyptError,
     IoError,
+    MissingDependency,
     NegativeBeta,
     NonPositiveInput,
     NotReduced,
@@ -65,7 +71,6 @@ from .scanner import (
     diagnose_tail,
     scan_conjecture,
 )
-from .randwalk import GENERATOR_ID, WalkStats, analytic_drift
 
 __all__ = [
     "__version__",
@@ -81,6 +86,7 @@ __all__ = [
     "RecoveryBreakdown",
     "CorruptCheckpoint",
     "IoError",
+    "MissingDependency",
     # exact numbers
     "QuadraticValue",
     "nearest_int",
@@ -126,3 +132,14 @@ __all__ = [
     "WalkStats",
     "analytic_drift",
 ]
+
+_WALK_NAMES = ("GENERATOR_ID", "WalkStats", "analytic_drift")
+
+
+def __getattr__(name):
+    # the random-walk names are resolved on first use: randwalk imports numpy
+    if name in _WALK_NAMES:
+        from . import randwalk
+
+        return getattr(randwalk, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,6 @@ from .expansion import (
     gap_sequence_naive,
 )
 from .gapfast import compare_fast_naive, gap_sequence_fast
-from .randwalk import run_walks
 from .recovery import recover_sequence
 from .scanner import scan_conjecture
 from .sequences import fib_pow2, growth_constant, sylvester_terms
@@ -307,6 +306,15 @@ def _cmd_seq(args) -> int:
 
 
 # ------------------------------------------------------------------ walk --
+
+
+def run_walks(*args, **kwargs):
+    """:func:`egyptfrac.randwalk.run_walks`, imported on the first walk so
+    that no other command loads numpy; raises ``MissingDependency`` without
+    it."""
+    from .randwalk import run_walks
+
+    return run_walks(*args, **kwargs)
 
 
 def _cmd_walk(args) -> int:

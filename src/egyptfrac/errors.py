@@ -58,3 +58,7 @@ class CorruptCheckpoint(EgyptError, ValueError):
 
 class IoError(EgyptError, OSError):
     """Wrapper for OS-level failures while reading or writing scan output."""
+
+
+class MissingDependency(EgyptError, ImportError):
+    """An optional dependency is not installed (numpy, for the random walk)."""

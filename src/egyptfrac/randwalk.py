@@ -23,7 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import MissingDependency
+
+try:
+    import numpy as np
+except ImportError as exc:  # numpy is the optional ``walk`` extra
+    raise MissingDependency(
+        f"the random walk needs numpy, which cannot be imported ({exc}); "
+        "install egyptfrac[walk]") from exc
 
 GENERATOR_ID = "splitmix64-mix-v1"
 
