@@ -127,19 +127,20 @@ __all__ = [
     "TailDiagnosis",
     "scan_conjecture",
     "diagnose_tail",
-    # random walk
-    "GENERATOR_ID",
-    "WalkStats",
-    "analytic_drift",
 ]
 
+# Resolved on first use, because randwalk imports numpy.  They stay out of
+# __all__, so a star-import never loads numpy.
 _WALK_NAMES = ("GENERATOR_ID", "WalkStats", "analytic_drift")
 
 
 def __getattr__(name):
-    # the random-walk names are resolved on first use: randwalk imports numpy
     if name in _WALK_NAMES:
-        from . import randwalk
-
+        try:
+            from . import randwalk
+        except MissingDependency as exc:
+            # an AttributeError, so hasattr() answers False without numpy
+            raise AttributeError(f"module {__name__!r} attribute {name!r} "
+                                 f"needs numpy: {exc}") from exc
         return getattr(randwalk, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,6 +40,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _TRIAL_CAP = 1 << 32
 _STEP_CAP = 1 << 32
+# samples per slab of rows within a block: 2 MiB per float64 array
+_SLAB_SAMPLES = 1 << 18
 
 __all__ = ["GENERATOR_ID", "WalkStats", "analytic_drift", "run_walks"]
 
@@ -97,8 +99,17 @@ def run_walks(
     """Deterministic Monte-Carlo run of the multiplicative walk model.
 
     Returns the summary statistics and the per-trial hitting steps (-1 = no
-    hit).  ``block`` is the number of steps drawn at a time; it changes no
-    drawn sample.
+    hit).  ``block`` is the number of steps drawn at a time.  It changes no
+    drawn sample and no hitting step, but it regroups the float sums, so
+    ``mean_log_t`` and ``stderr_log_t`` may differ in the last ulp between
+    block sizes.
+
+    Memory: each block is drawn, accumulated and tested a slab of rows at a
+    time (about 2^18 samples, 2 MiB per float64 array), and the steps
+    actually taken are packed in row order into one buffer of at most
+    ``trials * block`` floats.  The peak is that buffer plus a few slabs.
+    The packed steps are exactly those of the whole block in the same
+    order, so the slabs change no float.
     """
     if not math.isfinite(c0):
         raise ValueError(f"c0 must be finite, got {c0}")
@@ -122,20 +133,41 @@ def run_walks(
         if active.size == 0:
             break
         width = min(block, steps - lo)
-        lt = np.log(0.5 + _uniform_block(seed_u, active, lo, width))
-        path = log_c[active][:, None] + np.cumsum(lt, axis=1)
-        below = path <= 0.0
-        hit_any = below.any(axis=1)
-        first = np.argmax(below, axis=1)  # valid only where hit_any
-        consumed = np.where(hit_any, first + 1, width)
-        used = np.arange(width)[None, :] < consumed[:, None]
-        sum_lt += float(lt[used].sum())
-        sum_lt2 += float((lt[used] ** 2).sum())
-        n_lt += int(consumed.sum())
+        rows = max(1, _SLAB_SAMPLES // width)
+        hit_any = np.empty(active.size, dtype=bool)
+        first = np.empty(active.size, dtype=np.int64)  # valid only where hit_any
+        last = np.empty(active.size, dtype=np.float64)
+        # steps taken, in row order; the untouched tail is never written
+        taken = np.empty(active.size * width, dtype=np.float64)
+        n = 0
+        for r in range(0, active.size, rows):
+            ids = active[r:r + rows]
+            lt = np.log(0.5 + _uniform_block(seed_u, ids, lo, width))
+            # ufunc methods, not np.cumsum or ndarray.any/.sum: same values,
+            # but those wrappers allocate on first use, and whether that
+            # memory is freed again varies from process to process, so a
+            # traced peak would not repeat
+            path = np.add.accumulate(lt, axis=1)
+            path += log_c[ids][:, None]
+            below = path <= 0.0
+            slab_hit = np.logical_or.reduce(below, axis=1)
+            slab_first = np.argmax(below, axis=1)
+            consumed = np.where(slab_hit, slab_first + 1, width)
+            used = np.arange(width)[None, :] < consumed[:, None]
+            k = int(np.add.reduce(consumed))
+            taken[n:n + k] = lt[used]
+            n += k
+            hit_any[r:r + rows] = slab_hit
+            first[r:r + rows] = slab_first
+            last[r:r + rows] = path[:, -1]
+        v = taken[:n]
+        sum_lt += float(np.add.reduce(v))
+        sum_lt2 += float(np.add.reduce(np.square(v, out=v)))
+        n_lt += n
 
         hit_idx = active[hit_any].astype(np.int64)
         hit_step[hit_idx] = lo + first[hit_any] + 1
-        log_c[active[~hit_any].astype(np.int64)] = path[~hit_any, -1]
+        log_c[active[~hit_any].astype(np.int64)] = last[~hit_any]
         active = active[~hit_any]
 
     mean = sum_lt / n_lt if n_lt else None

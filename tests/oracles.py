@@ -2,12 +2,13 @@
 
 These deliberately avoid the code paths they check: square roots come from
 integer-square-root interval bounds, Fibonacci from plain addition,
-integrals from Simpson quadrature, and uniformity from a hand-rolled
-Kolmogorov-Smirnov statistic.
+integrals from Simpson quadrature, uniformity from a hand-rolled
+Kolmogorov-Smirnov statistic, and random walks from one array per whole
+block of steps.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log, sqrt
 
 
 def sqrt_bounds(d: int, scale_digits: int = 12) -> tuple[Fraction, Fraction]:
@@ -64,3 +65,54 @@ def ks_statistic_uniform(samples, lo: float, hi: float) -> float:
         cdf = min(max((x - lo) / (hi - lo), 0.0), 1.0)
         d = max(d, abs((i + 1) / n - cdf), abs(i / n - cdf))
     return d
+
+
+def run_walks_whole_block(c0: float, steps: int, trials: int, seed: int, block: int = 512):
+    """The random walk with every block held as ``trials x block`` arrays.
+
+    Same samples (the walk's own generator) and the same sums as
+    ``randwalk.run_walks``, without its slabs of rows: the taken steps of a
+    block are summed as one ``lt[used]``, so every float must match bit for
+    bit.  Returns ``(WalkStats, hit_step)``.
+    """
+    import numpy as np
+
+    from egyptfrac.randwalk import WalkStats, _uniform_block
+
+    seed_u = np.uint64(seed % 2**64)
+    hit_step = np.full(trials, 0 if c0 == 1 else -1, dtype=np.int64)
+    active = np.arange(0 if c0 == 1 else trials, dtype=np.uint64)
+    log_c = np.full(trials, log(c0), dtype=np.float64)
+    sum_lt = sum_lt2 = 0.0
+    n_lt = 0
+    for lo in range(0, steps, block):
+        if active.size == 0:
+            break
+        width = min(block, steps - lo)
+        lt = np.log(0.5 + _uniform_block(seed_u, active, lo, width))
+        path = log_c[active][:, None] + np.cumsum(lt, axis=1)
+        below = path <= 0.0
+        hit_any = below.any(axis=1)
+        first = np.argmax(below, axis=1)
+        consumed = np.where(hit_any, first + 1, width)
+        used = np.arange(width)[None, :] < consumed[:, None]
+        sum_lt += float(lt[used].sum())
+        sum_lt2 += float((lt[used] ** 2).sum())
+        n_lt += int(consumed.sum())
+        hit_step[active[hit_any].astype(np.int64)] = lo + first[hit_any] + 1
+        log_c[active[~hit_any].astype(np.int64)] = path[~hit_any, -1]
+        active = active[~hit_any]
+
+    mean = sum_lt / n_lt if n_lt else None
+    stderr = None
+    if n_lt >= 2:
+        var = (sum_lt2 - n_lt * mean * mean) / (n_lt - 1)
+        stderr = sqrt(max(var, 0.0) / n_lt)
+    hits = hit_step >= 0
+    n_hits = int(hits.sum())
+    stats = WalkStats(
+        trials=trials, steps=steps, c0=c0, mean_log_t=mean, stderr_log_t=stderr,
+        hit_fraction=n_hits / trials,
+        mean_hit_time=float(hit_step[hits].mean()) if n_hits else None, seed=seed,
+    )
+    return stats, hit_step

@@ -1,11 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from egyptfrac import randwalk
 from egyptfrac.randwalk import GENERATOR_ID, analytic_drift, run_walks
 
-from oracles import ks_statistic_uniform, simpson
+from oracles import ks_statistic_uniform, run_walks_whole_block, simpson
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DRIFT = -0.0452287
 
@@ -111,3 +120,59 @@ class TestHittingTimes:
         assert stats.hit_fraction == n_hit / 300
         if n_hit:
             assert stats.mean_hit_time == pytest.approx(hits[hits >= 0].mean())
+
+
+class TestSlabs:
+    """Each block is walked a slab of rows at a time, with the taken steps
+    packed in row order, so nothing is regrouped: every float is bit-identical
+    to the whole-block oracle."""
+
+    @pytest.mark.parametrize("c0, steps, trials, block", [
+        pytest.param(50.0, 300, 203, 64, id="trials-not-a-slab-multiple"),
+        pytest.param(50.0, 301, 200, 64, id="steps-not-a-block-multiple"),
+        pytest.param(1.0, 10, 50, 64, id="c0-is-1"),
+        pytest.param(1.5, 40, 97, 64, id="hits-on-step-1"),
+        pytest.param(50.0, 300, 200, 7, id="block-7"),
+        pytest.param(50.0, 600, 30, 512, id="block-wider-than-a-slab"),
+    ])
+    def test_bit_identical_to_whole_block(self, monkeypatch, c0, steps, trials, block):
+        monkeypatch.setattr(randwalk, "_SLAB_SAMPLES", 3 * 64)  # 3 rows of 64
+        stats, hits = run_walks(c0, steps, trials, 9, block=block)
+        want, want_hits = run_walks_whole_block(c0, steps, trials, 9, block=block)
+        assert stats == want
+        assert np.array_equal(hits, want_hits)
+        if c0 == 1.5:
+            assert (hits == 1).any()
+
+    def test_traced_peak_repeats_across_processes(self):
+        # a benchmark trace requires the tracemalloc peak of the first walk
+        # in a fresh interpreter to repeat exactly from process to process
+        code = textwrap.dedent("""
+            import tracemalloc
+            from egyptfrac import randwalk
+            randwalk._SLAB_SAMPLES = 1 << 12
+            tracemalloc.start()
+            randwalk.run_walks(1e3, 600, 3000, 5)
+            print(tracemalloc.get_traced_memory()[1])
+        """)
+        pythonpath = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+        peaks = []
+        for hash_seed in range(4):
+            env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=str(hash_seed))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            peaks.append(int(proc.stdout))
+        assert len(set(peaks)) == 1, peaks
+
+    def test_peak_is_below_two_whole_block_arrays(self):
+        # the packed buffer of taken steps (at most one trials x block array)
+        # plus fixed-size slabs; a whole-block walk holds about three arrays
+        tracemalloc.start()
+        try:
+            run_walks(1e6, 600, 4000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4000 * 512 * 8

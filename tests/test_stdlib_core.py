@@ -83,9 +83,11 @@ def test_without_numpy_only_walk_fails(tmp_path):
         try:
             egyptfrac.WalkStats
             lazy = None
-        except ImportError as exc:
-            lazy = [type(exc).__name__, isinstance(exc, egyptfrac.EgyptError)]
-        print(json.dumps({"codes": codes, "errs": errs, "lazy": lazy}))
+        except AttributeError as exc:
+            cause = exc.__cause__
+            lazy = [type(cause).__name__, isinstance(cause, egyptfrac.EgyptError)]
+        print(json.dumps({"codes": codes, "errs": errs, "lazy": lazy,
+                          "hasattr": hasattr(egyptfrac, "WalkStats")}))
     """)
     codes, errs = result["codes"], result["errs"]
     assert codes.pop("walk") == 1
@@ -93,3 +95,24 @@ def test_without_numpy_only_walk_fails(tmp_path):
     assert "install egyptfrac[walk]" in errs["walk"]
     assert codes == {"scan": 0, "expand": 0, "recover": 0, "gaps": 0, "seq": 0}, errs
     assert result["lazy"] == ["MissingDependency", True]
+    assert result["hasattr"] is False
+
+
+def test_star_import_leaves_numpy_unloaded(tmp_path):
+    # the walk names resolve as attributes but stay out of __all__
+    result = run_python(tmp_path, """
+        import json, sys
+        from egyptfrac import *
+
+        loaded = "numpy" in sys.modules
+        import egyptfrac
+        walk_names = [name for name in ("GENERATOR_ID", "WalkStats", "analytic_drift")
+                      if name in egyptfrac.__all__ or name in globals()]
+        resolved = [egyptfrac.WalkStats.__name__, egyptfrac.analytic_drift.__name__,
+                    egyptfrac.GENERATOR_ID]
+        print(json.dumps({"numpy_loaded": loaded, "walk_names": walk_names,
+                          "resolved": resolved}))
+    """)
+    assert result["numpy_loaded"] is False
+    assert result["walk_names"] == []
+    assert result["resolved"] == ["WalkStats", "analytic_drift", "splitmix64-mix-v1"]
