@@ -3,14 +3,16 @@
 The pseudo-greedy expansion of p/q is driven by c_1 = p and d_1 = q: step n
 takes the centered residue e_n of d_n mod c_n in [-c_n/2, c_n/2), then
 d_{n+1} = d_n * ((d_n - e_n)/c_n + 1) and c_{n+1} = c_n - e_n.  The c_n stay
-small, but d_n = q*a_1*...*a_{n-1} grows doubly exponentially.  One loop
-therefore runs in two parts.
+small, but d_n = q*a_1*...*a_{n-1} grows doubly exponentially.  The kernel
+therefore runs two loops, one after the other.
 
-Exact prefix: while d_n has at most ``EXACT_BITS`` bits it is kept whole, and
-a step is one remainder, one division and one multiplication.  Most pairs
+Exact prefix: while d_n < 2**EXACT_BITS it is kept whole, and a step is one
+``divmod`` and one multiplication.  With a, t = divmod(d_n, c_n) the residue
+is e_n = t or e_n = t - c_n, so (d_n - e_n)/c_n is a or a + 1 and the next
+factor a_n is a + 1 when e_n = t and a + 2 when e_n = t - c_n.  Most pairs
 reach their first zero gap here.
 
-Modular suffix: from the first d_K past the budget on, d is no longer
+Modular chain: from the first d_K past the budget on, d is no longer
 updated.  Each outer step n >= K instead runs the residue chain below along
 k = K..n, seeded with the last exact value d_K, and only ever stores numbers
 modulo products of the small c-values.  Step n's moduli involve c_n, which
@@ -39,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import NotReduced
 from .expansion import gap_sequence_naive
@@ -52,12 +55,13 @@ __all__ = [
 EXACT_BITS = 2048
 
 
-@dataclass(frozen=True)
-class GapTrace:
+class GapTrace(NamedTuple):
     """Result of the modular gap computation for one reduced pair p/q.
 
     ``c`` holds c_1..c_{N+1} and ``e`` holds e_1..e_N where N = ``steps``;
     ``n0`` is the first index with e = 0 when one was found within budget.
+    An immutable named tuple: fields cannot be reassigned, and a trace
+    compares equal to any tuple with the same seven values in field order.
     """
 
     p: int
@@ -94,41 +98,25 @@ def gap_sequence_fast(
     if past_zero < 0:
         raise ValueError(f"past_zero must be >= 0, got {past_zero}")
 
-    budget = 0 if fully_modular else EXACT_BITS
+    # d = q >= 1 never passes a bound of 1, so fully_modular empties the prefix
+    bound = 1 << (0 if fully_modular else EXACT_BITS)
     cs = [p]
     es: list[int] = []
     n0: int | None = None
     limit = n_max
     c = p
-    d = q  # exact d_n in the prefix; the seed d_K once the suffix starts
-    k0 = -1  # 0-based index of d_K, negative while d is exact
+    d = q  # exact d_n in the prefix; the seed d_K once the chain starts
     n = 0
-    while n < limit:
+    while n < limit and d < bound:
         n += 1
-        if k0 < 0 and d.bit_length() <= budget:
-            t = d % c
+        a, t = divmod(d, c)
+        # center t = d_n mod c_n into [-c_n/2, c_n/2); a_n is a + 2 or a + 1
+        if 2 * t >= c:
+            e = t - c
+            d *= a + 2
         else:
-            if k0 < 0:
-                k0 = n - 1
-            # suffix[i] = cs[k0 + i] * ... * cs[n - 1], i.e. M_{K+i}
-            suffix = [1] * (n - k0 + 1)
-            acc = 1
-            for i in range(n - 1, k0 - 1, -1):
-                acc *= cs[i]
-                suffix[i - k0] = acc
-            t = d % suffix[0]
-            for k in range(k0, n - 1):
-                u, rem = divmod((t - es[k]) % suffix[k - k0], cs[k])
-                if rem:
-                    raise AssertionError(
-                        f"modulus-chain violation at p={p} q={q} n={n} k={k + 1}: "
-                        "tracked residue of d_k - e_k is not divisible by c_k"
-                    )
-                t = t * (u + 1) % suffix[k - k0 + 1]
-        # t is now d_n mod c_n; center it into [-c_n/2, c_n/2)
-        e = t - c if 2 * t >= c else t
-        if k0 < 0:
-            d *= (d - e) // c + 1
+            e = t
+            d *= a + 1
         c -= e
         es.append(e)
         cs.append(c)
@@ -136,15 +124,34 @@ def gap_sequence_fast(
             n0 = n
             limit = n + past_zero
 
-    return GapTrace(
-        p=p,
-        q=q,
-        c=cs,
-        e=es,
-        terminated=n0 is not None,
-        n0=n0,
-        steps=n,
-    )
+    k0 = n  # 0-based index of d_K in cs
+    while n < limit:
+        n += 1
+        # suffix[i] = cs[k0 + i] * ... * cs[n - 1], i.e. M_{K+i}
+        suffix = [1] * (n - k0 + 1)
+        acc = 1
+        for i in range(n - 1, k0 - 1, -1):
+            acc *= cs[i]
+            suffix[i - k0] = acc
+        t = d % suffix[0]
+        for k in range(k0, n - 1):
+            u, rem = divmod((t - es[k]) % suffix[k - k0], cs[k])
+            if rem:
+                raise AssertionError(
+                    f"modulus-chain violation at p={p} q={q} n={n} k={k + 1}: "
+                    "tracked residue of d_k - e_k is not divisible by c_k"
+                )
+            t = t * (u + 1) % suffix[k - k0 + 1]
+        # t is now d_n mod c_n; center it into [-c_n/2, c_n/2)
+        e = t - c if 2 * t >= c else t
+        c -= e
+        es.append(e)
+        cs.append(c)
+        if e == 0 and n0 is None:
+            n0 = n
+            limit = n + past_zero
+
+    return GapTrace(p, q, cs, es, n0 is not None, n0, n)
 
 
 def compare_fast_naive(fast: GapTrace, naive: list) -> tuple[int, list[int]]:

@@ -36,7 +36,6 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from math import ceil, gcd
-from multiprocessing import Pool
 from pathlib import Path
 
 from .errors import CorruptCheckpoint, IoError
@@ -139,6 +138,14 @@ def _scan_q(q: int, n_max: int) -> list[tuple]:
             "ZERO" if trace.terminated else "MAXITER", _tail_start(trace.e),
         ))
     return rows
+
+
+def Pool(*args, **kwargs):
+    """:class:`multiprocessing.pool.Pool`, imported when the first pool starts
+    so that a scan with ``jobs=1`` never loads :mod:`multiprocessing`."""
+    from multiprocessing import Pool
+
+    return Pool(*args, **kwargs)
 
 
 def _fresh_groups(todo: range, n_max: int, jobs: int):

@@ -3,8 +3,8 @@
 These deliberately avoid the code paths they check: square roots come from
 integer-square-root interval bounds, Fibonacci from plain addition,
 integrals from Simpson quadrature, uniformity from a hand-rolled
-Kolmogorov-Smirnov statistic, and random walks from one array per whole
-block of steps.
+Kolmogorov-Smirnov statistic, random walks from one array per whole
+block of steps, and scan rows from exact (naive) gap steps.
 """
 
 from fractions import Fraction
@@ -116,3 +116,38 @@ def run_walks_whole_block(c0: float, steps: int, trials: int, seed: int, block: 
         mean_hit_time=float(hit_step[hits].mean()) if n_hits else None, seed=seed,
     )
     return stats, hit_step
+
+
+def scan_row_naive(p: int, q: int, n_max: int) -> tuple:
+    """The scan row of reduced p/q under budget ``n_max``, from exact d_n.
+
+    ``(p, q, n0, steps, max_c, status, tail_sign_index)`` as the scanner
+    writes it, derived from ``expansion.gap_sequence_naive`` alone.  That
+    function runs to its term budget and does not stop at a zero gap, so it
+    is asked for twice as many terms each round until a zero shows or
+    ``n_max`` terms are in.  max_c covers c_1..c_{N+1}, where
+    c_{N+1} = c_N - e_N; the tail index is the first 1-based index t with
+    e_k >= 0 for every k >= t (None when e_N < 0).
+    """
+    from egyptfrac.expansion import gap_sequence_naive
+
+    terms = 1
+    while True:
+        terms = min(2 * terms, n_max)
+        gaps = gap_sequence_naive(p, q, terms)
+        zeros = [n for n, g in enumerate(gaps, 1) if g.e == 0]
+        if zeros or len(gaps) == n_max:
+            break
+        if len(gaps) < terms:
+            raise AssertionError(f"{p}/{q}: d_n passed the naive digit limit first")
+    n0 = zeros[0] if zeros else None
+    gaps = gaps[: n0 or n_max]
+    es = [g.e for g in gaps]
+    cs = [g.c for g in gaps] + [gaps[-1].c - gaps[-1].e]
+    tail = len(es)
+    if es[-1] < 0:
+        tail = None
+    else:
+        while tail > 1 and es[tail - 2] >= 0:
+            tail -= 1
+    return (p, q, n0, len(es), max(cs), "MAXITER" if n0 is None else "ZERO", tail)

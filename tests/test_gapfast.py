@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,7 +8,7 @@ import pytest
 from egyptfrac import cli, gapfast
 from egyptfrac.errors import NotReduced
 from egyptfrac.expansion import gap_sequence_naive
-from egyptfrac.gapfast import gap_sequence_fast, verify_fast_vs_naive
+from egyptfrac.gapfast import GapTrace, gap_sequence_fast, verify_fast_vs_naive
 
 DEEP_PAIRS = [(185, 358), (367, 537), (3, 179), (149, 278), (293, 417), (437, 556)]
 
@@ -52,6 +53,39 @@ class TestElevenTwentynine:
         assert t.n0 == 5 and t.steps == 8
         assert t.e[4:] == [0, 0, 0, 0]
         assert t.c[5:] == [16, 16, 16, 16]
+
+
+class TestGapTraceContract:
+    """GapTrace is an immutable named tuple with seven fields in this order."""
+
+    FIELDS = ("p", "q", "c", "e", "terminated", "n0", "steps")
+
+    def test_fields_in_order(self):
+        assert GapTrace._fields == self.FIELDS
+
+    def test_built_by_position_and_by_keyword(self):
+        values = (11, 29, [11, 15, 19, 20, 16, 16], [-4, -4, -1, 4, 0], True, 5, 5)
+        by_position = GapTrace(*values)
+        by_keyword = GapTrace(**dict(zip(self.FIELDS, values)))
+        assert by_position == by_keyword == values == gap_sequence_fast(11, 29, 50)
+        assert tuple(getattr(by_keyword, name) for name in self.FIELDS) == values
+
+    def test_fields_cannot_be_assigned(self):
+        t = gap_sequence_fast(11, 29, 50)
+        for name in (*self.FIELDS, "eps"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+        assert t.n0 == 5
+
+    def test_pickle_round_trip(self):
+        t = gap_sequence_fast(185, 358, 100, past_zero=2)
+        back = pickle.loads(pickle.dumps(t))
+        assert type(back) is GapTrace and back == t
+        assert back.eps == t.eps
+
+    def test_eps_from_fields(self):
+        t = GapTrace(5, 9, [5, 4, 6, 5], [1, -2, 1], False, None, 3)
+        assert t.eps == [Fraction(1, 5), Fraction(-1, 2), Fraction(1, 6)]
 
 
 class TestTrivialInputs:

@@ -1,9 +1,11 @@
 import os
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from oracles import scan_row_naive
 
-from egyptfrac import scanner
+from egyptfrac import gapfast, scanner
 from egyptfrac.errors import CorruptCheckpoint
 from egyptfrac.gapfast import GapTrace, gap_sequence_fast
 from egyptfrac.scanner import (
@@ -18,6 +20,13 @@ def read_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "p,q,n0,steps,max_c,status,tail_sign_index"
     return lines[1:]
+
+
+@lru_cache(maxsize=None)
+def naive_lines(q_max, n_max):
+    """CSV rows of a scan of q = 1..q_max, each derived from exact gap steps."""
+    return [",".join("" if v is None else str(v) for v in scan_row_naive(p, q, n_max))
+            for q in range(1, q_max + 1) for p in range(1, q + 1) if gcd(p, q) == 1]
 
 
 def no_pool(*args, **kwargs):
@@ -386,3 +395,18 @@ class TestSampleRerun:
             for k in range(t.steps):
                 assert t.c[k + 1] == t.c[k] - t.e[k]
                 assert -t.c[k] <= 2 * t.e[k] < t.c[k]
+
+
+class TestRowsMatchNaiveOracle:
+    # every field of every row, against rows built from exact d_n arithmetic
+    # (tests/oracles.py), whichever of the kernel's loops produced it: at
+    # EXACT_BITS = 0 every trace runs the residue chain from d_1 = q, at 64
+    # most leave the exact prefix after a few steps
+    @pytest.mark.parametrize("exact_bits", [0, 64, None], ids=["bits0", "bits64", "default"])
+    @pytest.mark.parametrize("n_max", [3, 1000])
+    def test_every_row(self, tmp_path, monkeypatch, n_max, exact_bits):
+        if exact_bits is not None:
+            monkeypatch.setattr(gapfast, "EXACT_BITS", exact_bits)
+        out = tmp_path / "scan.csv"
+        scan_conjecture(1, 60, n_max, out)
+        assert read_rows(out) == naive_lines(60, n_max)

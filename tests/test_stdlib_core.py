@@ -1,4 +1,5 @@
-"""numpy is the optional ``walk`` extra: every other command runs without it.
+"""numpy is the optional ``walk`` extra: every other command runs without it,
+and a scan with one job does not load multiprocessing either.
 
 Each test runs a fresh interpreter, because this test session has already
 imported numpy.
@@ -35,11 +36,13 @@ def test_core_commands_leave_numpy_unloaded(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [
                 egyptfrac.cli.main(["scan", "--qmin", "1", "--qmax", "12",
-                                    "--maxiter", "100", "--out", "scan.csv"]),
+                                    "--maxiter", "100", "--out", "scan.csv",
+                                    "--jobs", "1"]),
                 egyptfrac.cli.main(["expand", "--r", "11/29", "--kind", "pseudo",
                                     "--terms", "6"]),
             ]
         loaded = "numpy" in sys.modules
+        pool_loaded = "multiprocessing" in sys.modules
         walk_names = [repr(egyptfrac.GENERATOR_ID), egyptfrac.WalkStats.__name__,
                       egyptfrac.analytic_drift.__name__]
         try:
@@ -48,10 +51,12 @@ def test_core_commands_leave_numpy_unloaded(tmp_path):
         except AttributeError as exc:
             missing = str(exc)
         print(json.dumps({"codes": codes, "numpy_loaded": loaded,
+                          "pool_loaded": pool_loaded,
                           "walk_names": walk_names, "missing": missing}))
     """)
     assert result["codes"] == [0, 0]
     assert result["numpy_loaded"] is False
+    assert result["pool_loaded"] is False
     assert result["walk_names"] == ["'splitmix64-mix-v1'", "WalkStats", "analytic_drift"]
     assert result["missing"] == "module 'egyptfrac' has no attribute 'no_such_name'"
 
