@@ -20,10 +20,12 @@ whole groups.  --resume appends to such a file and never rewrites what it
 keeps: the file must be a prefix of what the scan writes (the header, then
 the groups of q_min, q_min + 1, ... in canonical form), and each kept row
 must be what the budget produces (ZERO after n0 <= n_max steps, or MAXITER
-after exactly n_max).  A trailing partial group, a cut-off last line
-included, is truncated and recomputed; anything else is a corrupt
-checkpoint, reported before the file changes.  A fresh scan is a resume
-from an empty file.
+after exactly n_max).  The check reads one q group at a time and matches
+all its lines at once; only a group that fails it is walked line by line,
+to name its first bad row or find where the file was cut.  A trailing
+partial group, a cut-off last line or header included, is truncated and
+recomputed; anything else is a corrupt checkpoint, reported before the file
+changes.  A fresh scan is a resume from an empty file.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from math import ceil, gcd
 from pathlib import Path
 
@@ -51,8 +54,6 @@ __all__ = [
 
 _CSV_HEADER = b"p,q,n0,steps,max_c,status,tail_sign_index\n"
 _INT = rb"[1-9][0-9]*"
-# a canonical row: positive integers without leading zeros; n0 and tail may be empty
-_ROW = re.compile(rb"(%b),(%b),(%b)?,(%b),(%b),(ZERO|MAXITER),(?:%b)?\n" % ((_INT,) * 6))
 # pool chunks per worker process; more chunks balance better and stream in
 # smaller steps, fewer cost less task overhead
 _CHUNKS_PER_JOB = 8
@@ -159,40 +160,77 @@ def _fresh_groups(todo: range, n_max: int, jobs: int):
         yield from pool.imap(scan_q, todo, chunksize=chunksize)
 
 
-def _reused_row(line: bytes, p: int, q: int, n_max: int) -> tuple:
-    """``(p, q, n0, steps, max_c)`` of a checkpoint line that must be the row of p/q."""
-    m = _ROW.fullmatch(line)
-    if m is None or (int(m[1]), int(m[2])) != (p, q):
-        raise CorruptCheckpoint(f"expected the row of {p}/{q}, got {line[:80]!r}")
-    n0 = int(m[3]) if m[3] else None
-    steps = int(m[4])
-    # what budget n_max produces: ZERO after n0 <= n_max steps, or n_max steps
-    if not (steps == n0 <= n_max if m[6] == b"ZERO" else n0 is None and steps == n_max):
-        raise CorruptCheckpoint(f"the row of {p}/{q} is not what n_max={n_max} produces")
-    return p, q, n0, steps, int(m[5])
+def _row_pattern(n_max: int) -> re.Pattern:
+    """The checkpoint row rule under budget ``n_max``; each match is one line.
+
+    A row is canonical: positive integers without leading zeros, a ``\\n``
+    line end, and n0 and tail possibly empty.  Equal digits are equal
+    numbers, so the budget rules are text comparisons: a ZERO row has steps
+    equal to n0 (a back-reference), a MAXITER row no n0 and steps n_max (a
+    literal); the status is looked ahead past max_c.  The groups are p, q,
+    n0 (set on a ZERO row only), ``off`` and max_c, where ``off`` holds the
+    steps of any other canonical row: one that is not what ``n_max``
+    produces.  n0 <= n_max is left to the caller.
+    """
+    return re.compile(
+        rb"^(%(i)b),(%(i)b),"
+        rb"(?:(%(i)b),\3,(?=[0-9]+,Z)|,%(n)d,(?=[0-9]+,M)|(?:%(i)b)?,(%(i)b),)"
+        rb"(%(i)b),(?:ZERO|MAXITER),(?:%(i)b)?\n" % {b"i": _INT, b"n": n_max},
+        re.MULTILINE,
+    )
+
+
+def _check_lines(lines: list[bytes], ps: list[int], q: int, n_max: int, row: re.Pattern) -> None:
+    """Walk a group that failed the group check: raise ``CorruptCheckpoint``
+    naming its first bad row, or return at the cut of a partial group."""
+    for p, line in zip(ps, lines):
+        if not line.endswith(b"\n"):  # a cut-off last line
+            return
+        m = row.fullmatch(line)
+        if m is None or (int(m[1]), int(m[2])) != (p, q):
+            raise CorruptCheckpoint(f"expected the row of {p}/{q}, got {line[:80]!r}")
+        if m[4] or m[3] and int(m[3]) > n_max:
+            raise CorruptCheckpoint(f"the row of {p}/{q} is not what n_max={n_max} produces")
 
 
 def _reusable_groups(fh, q_min: int, q_max: int, n_max: int):
-    """Yield the rows of each whole q group the scan file already holds.
+    """Yield ``(pairs, n0 counts, max_c)`` of each whole q group the scan
+    file already holds.
 
     Checks the file against the prefix rule of the module docstring and
     raises ``CorruptCheckpoint`` before changing it; then truncates a trailing
-    partial group, leaving ``fh`` where the next group is appended.
+    partial group, leaving ``fh`` where the next group is appended.  Each
+    group is read in one call and checked with one ``findall``: every line
+    must match the row rule of ``n_max``, its p column must be the coprime
+    numerators of q, its q column q alone.  A group that fails is walked
+    line by line, which names the first bad row or finds the cut.
     """
     header = fh.readline()
-    if header and header != _CSV_HEADER:
-        raise CorruptCheckpoint(f"unexpected header {header[:80]!r}")
+    if header != _CSV_HEADER:
+        if not _CSV_HEADER.startswith(header):
+            raise CorruptCheckpoint(f"unexpected header {header[:80]!r}")
+        # empty, or a header cut off before its newline: the scan starts afresh
+        fh.seek(0)
+        fh.truncate()
+        return
+    row = _row_pattern(n_max)
     end = fh.tell()
     for q in range(q_min, q_max + 1):
         ps = coprime_numerators(q)
-        lines = [fh.readline() for _ in ps]
-        # a line without its newline is a cut-off last line or the end of file
-        rows = [_reused_row(line, p, q, n_max)
-                for p, line in zip(ps, lines) if line.endswith(b"\n")]
-        if len(rows) < len(ps):
-            break
-        end = fh.tell()
-        yield rows
+        lines = list(islice(fh, len(ps)))
+        rows = row.findall(b"".join(lines))
+        if len(rows) == len(ps):
+            p_col, q_col, n0s, off, max_cs = zip(*rows)
+            counts = Counter(n0s)
+            del counts[b""]
+            tally = {int(n0): k for n0, k in counts.items()}
+            if (list(map(int, p_col)) == ps and q_col.count(b"%d" % q) == len(ps)
+                    and off.count(b"") == len(ps) and max(tally, default=0) <= n_max):
+                end = fh.tell()
+                yield len(ps), tally, max(map(int, max_cs))
+                continue
+        _check_lines(lines, ps, q, n_max, row)
+        break  # a partial group: the file ends in it
     if fh.readline().endswith(b"\n"):  # never after a break: that hit the end
         raise CorruptCheckpoint(f"rows past q={q_max}")
     fh.seek(end)
@@ -249,17 +287,17 @@ def scan_conjecture(
     pairs_total = overall_max_c = 0
     histogram: Counter[int] = Counter()
 
-    def tally(rows: list[tuple]) -> None:
+    def tally(pairs: int, counts: dict[int, int], max_c: int) -> None:
         nonlocal pairs_total, overall_max_c
-        pairs_total += len(rows)
-        overall_max_c = max(overall_max_c, max(r[4] for r in rows))
-        histogram.update(r[2] for r in rows if r[2] is not None)
+        pairs_total += pairs
+        histogram.update(counts)
+        overall_max_c = max(overall_max_c, max_c)
 
     with fh:
         reused = 0
         try:
-            for reused, rows in enumerate(_reusable_groups(fh, q_min, q_max, n_max), 1):
-                tally(rows)
+            for reused, group in enumerate(_reusable_groups(fh, q_min, q_max, n_max), 1):
+                tally(*group)
         except OSError as exc:
             raise IoError(f"cannot read checkpoint {out_path}: {exc}") from exc
         if fh.tell() == 0:
@@ -268,7 +306,8 @@ def scan_conjecture(
         with closing(_fresh_groups(todo, n_max, jobs)) as fresh:
             for q, rows in zip(todo, fresh):
                 _write(fh, _format_rows(rows), out_path)
-                tally(rows)
+                tally(len(rows), Counter(r[2] for r in rows if r[2] is not None),
+                      max(r[4] for r in rows))
                 if progress is not None:
                     progress(q, rows)
 

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from functools import lru_cache
 from math import gcd
 
@@ -39,17 +40,50 @@ def without_q(data, qs):
     return b"".join(lines[:1] + [l for l in lines[1:] if int(l.split(b",")[1]) not in qs])
 
 
-# files the program never writes; a resume must refuse each of them, since
-# it continues one scan of q = 1..12 and does not merge or repair files
+# files the program never writes, each with the error that names its first
+# bad line; a resume must refuse each of them, since it continues one scan
+# of q = 1..12 under n_max = 100 and does not merge or repair files
 NOT_A_PREFIX = {
-    "starts_after_q_min": lambda full: without_q(full, {1, 2, 3, 4}),
-    "missing_mid_file_q": lambda full: without_q(full, {6}),
-    "empty_line": lambda full: full.replace(b"\n1,7,", b"\n\n1,7,"),
-    "crlf": lambda full: full.replace(b"\n", b"\r\n"),
-    "leading_zero": lambda full: full.replace(b"\n1,7,", b"\n01,7,"),
-    "wrong_p_in_partial_q": lambda full: (
-        full[: full.index(b"\n7,12,") + 1].replace(b"\n5,12,", b"\n7,12,")),
-    "rows_past_q_max": lambda full: full + b"1,13,1,1,13,ZERO,1\n",
+    "starts_after_q_min": (
+        lambda full: without_q(full, {1, 2, 3, 4}),
+        "expected the row of 1/1, got b'1,5,1,1,1,ZERO,1\\n'"),
+    "missing_mid_file_q": (
+        lambda full: without_q(full, {6}),
+        "expected the row of 1/6, got b'1,7,1,1,1,ZERO,1\\n'"),
+    "empty_line": (
+        lambda full: full.replace(b"\n1,7,", b"\n\n1,7,"),
+        "expected the row of 1/7, got b'\\n'"),
+    "crlf": (
+        lambda full: full.replace(b"\n", b"\r\n"),
+        "unexpected header b'p,q,n0,steps,max_c,status,tail_sign_index\\r\\n'"),
+    "cut_off_other_header": (
+        lambda full: b"p,q,n1",
+        "unexpected header b'p,q,n1'"),
+    "leading_zero": (
+        lambda full: full.replace(b"\n1,7,", b"\n01,7,"),
+        "expected the row of 1/7, got b'01,7,1,1,1,ZERO,1\\n'"),
+    "wrong_p_in_partial_q": (
+        lambda full: full[: full.index(b"\n7,12,") + 1].replace(b"\n5,12,", b"\n7,12,"),
+        "expected the row of 5/12, got b'7,12,2,2,5,ZERO,1\\n'"),
+    "rows_past_q_max": (
+        lambda full: full + b"1,13,1,1,13,ZERO,1\n",
+        "rows past q=12"),
+    "swapped_rows": (
+        lambda full: full.replace(b"\n2,7,4,4,5,ZERO,4\n3,7,3,3,3,ZERO,3\n",
+                                  b"\n3,7,3,3,3,ZERO,3\n2,7,4,4,5,ZERO,4\n"),
+        "expected the row of 2/7, got b'3,7,3,3,3,ZERO,3\\n'"),
+    "wrong_q_in_p_order": (
+        lambda full: full.replace(b"\n3,7,", b"\n3,8,"),
+        "expected the row of 3/7, got b'3,8,3,3,3,ZERO,3\\n'"),
+    "zero_n0_not_steps": (
+        lambda full: full.replace(b"\n2,7,4,4,", b"\n2,7,4,5,"),
+        "the row of 2/7 is not what n_max=100 produces"),
+    "maxiter_with_n0": (
+        lambda full: full.replace(b"\n2,7,4,4,5,ZERO,", b"\n2,7,4,100,5,MAXITER,"),
+        "the row of 2/7 is not what n_max=100 produces"),
+    "zero_n0_past_n_max": (
+        lambda full: full.replace(b"\n2,7,4,4,", b"\n2,7,101,101,"),
+        "the row of 2/7 is not what n_max=100 produces"),
 }
 
 
@@ -228,10 +262,13 @@ class TestScanConjecture:
         fresh = tmp_path / "fresh.csv"
         scan_conjecture(1, 12, 100, fresh)
         out = tmp_path / "scan.csv"
-        out.write_bytes(NOT_A_PREFIX[case](fresh.read_bytes()))
+        edit, message = NOT_A_PREFIX[case]
+        out.write_bytes(edit(fresh.read_bytes()))
         before = out.read_bytes()
-        with pytest.raises(CorruptCheckpoint):
+        assert before != fresh.read_bytes()
+        with pytest.raises(CorruptCheckpoint) as exc:
             scan_conjecture(1, 12, 100, out, resume=True)
+        assert str(exc.value) == message
         assert out.read_bytes() == before
 
     def test_resume_rejects_rows_of_another_budget(self, tmp_path):
@@ -273,17 +310,20 @@ class TestScanConjecture:
         assert out.read_bytes() == full
 
     def test_resume_after_cut_at_any_byte(self, tmp_path):
-        # a killed write can stop anywhere in a line; whatever the cut in the
-        # last two groups, resume must reproduce the fresh scan and never
-        # trust a cut-off row
-        fresh = tmp_path / "fresh.csv"
-        scan_conjecture(1, 30, 1000, fresh)
-        full = fresh.read_bytes()
+        # a killed write can stop anywhere in a line, the header included;
+        # whatever the cut (at any byte of a q <= 5 scan, and in the last two
+        # groups of a q <= 30 scan), resume must reproduce the fresh scan and
+        # never trust a cut-off row
         out = tmp_path / "scan.csv"
-        for cut in range(full.index(b"\n1,29,") + 1, len(full)):
-            out.write_bytes(full[:cut])
-            scan_conjecture(1, 30, 1000, out, resume=True)
-            assert out.read_bytes() == full, f"cut at byte {cut}"
+        for q_max, first_cut in ((5, b""), (30, b"\n1,29,")):
+            fresh = tmp_path / f"fresh{q_max}.csv"
+            scan_conjecture(1, q_max, 1000, fresh)
+            full = fresh.read_bytes()
+            start = full.index(first_cut) + 1 if first_cut else 0
+            for cut in range(start, len(full)):
+                out.write_bytes(full[:cut])
+                scan_conjecture(1, q_max, 1000, out, resume=True)
+                assert out.read_bytes() == full, f"q <= {q_max}, cut at byte {cut}"
 
 
 class Interrupted(Exception):
@@ -369,13 +409,20 @@ class TestPool:
 
 class TestCheckpointParser:
     def test_loads_complete_groups(self, tmp_path):
+        # one (pairs, n0 counts, max_c) tally per q group, read off its rows,
+        # and the file position at the end of the last group
         out = tmp_path / "scan.csv"
         scan_conjecture(1, 9, 100, out)
         with open(out, "r+b") as fh:
             groups = list(_reusable_groups(fh, 1, 9, 100))
             assert fh.tell() == out.stat().st_size
-        assert [[r[:2] for r in rows] for rows in groups] == [
-            [(p, q) for p in coprime_numerators(q)] for q in range(1, 10)]
+        assert [pairs for pairs, _, _ in groups] == [
+            len(coprime_numerators(q)) for q in range(1, 10)]
+        rows = [row.split(",") for row in read_rows(out)]
+        for q, (_, counts, max_c) in enumerate(groups, 1):
+            group = [r for r in rows if r[1] == str(q)]
+            assert counts == Counter(int(r[2]) for r in group if r[2])
+            assert max_c == max(int(r[4]) for r in group)
 
 
 class TestSampleRerun:
