@@ -3,8 +3,9 @@
 Subcommands: expand, gaps, scan, recover, seq, walk.  The default output is
 a human table; ``--format json`` emits JSON-lines and ``--format csv``
 comma-separated rows, both schema-stable (see the README format reference).
-Commands that print one row per term write their row dicts through ``_emit``;
-single-object outputs are printed directly.
+Commands that print one row per term write their row dicts through ``_emit``,
+as do ``seq growth`` and ``gaps --method both`` (one row) for json and csv;
+other single-object outputs are printed directly.
 Exit codes: 0 success, 1 domain error (message names the error), 2 usage
 error.
 """
@@ -72,6 +73,11 @@ def _opt(value, render=str) -> str:
     return "" if value is None else render(value)
 
 
+def _csv_cell(value) -> str:
+    # a list (gaps --method both's mismatch_indices) is one space-separated field
+    return " ".join(map(str, value)) if isinstance(value, list) else _opt(value)
+
+
 def _emit(fmt: str, columns: list[str], rows: Iterable[dict], table=None) -> None:
     """Write row dicts as JSON-lines, or their ``columns`` cells as CSV or a
     table.  ``table()`` returns (headers, cells) for a human view instead; it
@@ -83,7 +89,7 @@ def _emit(fmt: str, columns: list[str], rows: Iterable[dict], table=None) -> Non
     elif fmt == "csv":
         print(",".join(columns))
         for row in rows:
-            print(",".join(_opt(row[k]) for k in columns))
+            print(",".join(_csv_cell(row[k]) for k in columns))
     elif table is not None:
         _print_table(*table())
     else:
@@ -194,10 +200,10 @@ def _cmd_gaps(args) -> int:
             "mismatch_indices": mismatches,
             "agree": not mismatches,
         }
-        if args.format == "json":
-            print(json.dumps(report))
-        else:
+        if args.format == "table":
             print(f"compared {n_cmp} terms: " + ("agree" if not mismatches else f"MISMATCH at {mismatches}"))
+        else:
+            _emit(args.format, list(report), [report])
         return 1 if mismatches else 0
 
     if args.method == "fast" and args.format == "json":
@@ -281,14 +287,14 @@ def _cmd_recover(args) -> int:
 
 def _cmd_seq(args) -> int:
     if args.seq_kind == "growth":
-        est = growth_constant(args.m, args.depth)
-        if args.format == "json":
-            print(json.dumps(dataclasses.asdict(est)))
-        else:
+        est = dataclasses.asdict(growth_constant(args.m, args.depth))
+        if args.format == "table":
             print(
-                f"c_hat(m={est.m}, depth={est.depth}) = {est.c_hat}"
-                f"  (|error| <= {est.residual_bound})"
+                f"c_hat(m={est['m']}, depth={est['depth']}) = {est['c_hat']}"
+                f"  (|error| <= {est['residual_bound']})"
             )
+        else:
+            _emit(args.format, list(est), [est])
         return 0
     # fib2 builds its terms one at a time: check the count here, once for both
     if args.terms < 1:

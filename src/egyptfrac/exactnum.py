@@ -235,12 +235,15 @@ ExactValue = Fraction | QuadraticValue
 
 
 def _exact(x) -> ExactValue:
-    """A QuadraticValue as is; any other input converted with ``Fraction(x)``."""
-    return x if isinstance(x, QuadraticValue) else Fraction(x)
+    """The exact-input rule of every entry point: a QuadraticValue with b != 0
+    as is, one with b = 0 as its rational ``a``, else ``Fraction(x)``."""
+    if isinstance(x, QuadraticValue):
+        return x if x.b else x.a
+    return Fraction(x)
 
 
 def sign_of(x) -> int:
-    """Sign of an exact value; non-quadratic input goes through ``Fraction(x)``."""
+    """Sign of an exact value; the input goes through the exact-input rule."""
     x = _exact(x)
     return x.sign() if isinstance(x, QuadraticValue) else _int_sign(x.numerator)
 
@@ -263,8 +266,8 @@ def _quad_floor(x: QuadraticValue) -> int:
 def nearest_int(x) -> int:
     """Nearest integer floor(x + 1/2) to an exact value.
 
-    Exact ties round toward +infinity.  Non-quadratic input goes through
-    ``Fraction(x)`` first, so the result is always an int.
+    Exact ties round toward +infinity.  The input goes through the
+    exact-input rule first, so the result is always an int.
     """
     x = _exact(x)
     if isinstance(x, QuadraticValue):
@@ -274,7 +277,7 @@ def nearest_int(x) -> int:
 
 
 def floor_value(x) -> int:
-    """Floor of an exact value; non-quadratic input goes through ``Fraction(x)``."""
+    """Floor of an exact value; the input goes through the exact-input rule."""
     x = _exact(x)
     if isinstance(x, QuadraticValue):
         return _quad_floor(x)
@@ -282,7 +285,7 @@ def floor_value(x) -> int:
 
 
 def ceil_value(x) -> int:
-    """Ceiling of an exact value; non-quadratic input goes through ``Fraction(x)``."""
+    """Ceiling of an exact value; the input goes through the exact-input rule."""
     return -floor_value(-_exact(x))
 
 
@@ -345,8 +348,8 @@ def to_decimal(x, digits: int) -> str:
 
     ``digits`` fractional digits are produced by exact scaling: the value is
     multiplied by 10^digits and rounded with :func:`nearest_int` (ties toward
-    +infinity, the package-wide convention).  Any other input is first
-    converted with ``Fraction(x)``.
+    +infinity, the package-wide convention).  Any other input goes through
+    the exact-input rule first.
     """
     if not 1 <= digits <= 10**6:
         raise ValueError(f"digits must be in [1, 10^6], got {digits}")
@@ -394,14 +397,12 @@ def parse_value(text: str) -> ExactValue:
 
 
 def format_value(x) -> str:
-    """Serialize an exact value in the grammar accepted by :func:`parse_value`."""
-    if isinstance(x, int):
-        x = Fraction(x)
+    """Serialize an exact value, after the exact-input rule, in the grammar
+    accepted by :func:`parse_value`; a rational prints as ``num/den``."""
+    x = _exact(x)
     if isinstance(x, Fraction):
         return f"{int_to_decimal_str(x.numerator)}/{int_to_decimal_str(x.denominator)}"
     a_num, b_num, q = _integer_view(x)
-    if b_num == 0:
-        return f"{int_to_decimal_str(a_num)}/{int_to_decimal_str(q)}"
     sgn = "+" if b_num > 0 else "-"
     return (
         f"({int_to_decimal_str(a_num)}{sgn}{int_to_decimal_str(abs(b_num))}"

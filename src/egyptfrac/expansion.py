@@ -20,7 +20,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import NonPositiveInput, NotReduced, OddGreedyOnIrrational
-from .exactnum import QuadraticValue, ceil_value, decimal_digits, nearest_int, sign_of
+from .exactnum import QuadraticValue, _exact, ceil_value, decimal_digits, nearest_int, sign_of
 
 DEFAULT_DIGIT_CAP = 10**4
 NAIVE_DIGIT_LIMIT = 10**5
@@ -76,11 +76,6 @@ class Expansion:
     zero_gap_at: int | None  # first index with eps = 0, when tracked
 
 
-def _odd_ceil(inv: Fraction) -> int:
-    a = -((-inv.numerator) // inv.denominator)
-    return a if a % 2 == 1 else a + 1
-
-
 def expand(
     r,
     kind: ExpansionKind,
@@ -90,14 +85,16 @@ def expand(
 ) -> Expansion:
     """Expand a positive exact value into unit fractions.
 
+    ``r`` goes through the exact-input rule of :mod:`egyptfrac.exactnum`.
     Emits up to ``max_terms`` records; greedy expansions of rationals stop
     early when the remainder hits 0 exactly.  For rational pseudo-greedy,
     ``stop_at_first_zero`` truncates the stream at the first zero gap (the
     rest of the gap sequence is zero by persistence); by default the stream
     runs to the full term budget.
     """
-    if isinstance(r, int):
-        r = Fraction(r)
+    r = _exact(r)
+    if not isinstance(kind, ExpansionKind):
+        raise ValueError(f"unknown expansion kind {kind!r}")
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     if digit_cap < 1:
@@ -125,7 +122,7 @@ def expand(
         elif kind is ExpansionKind.GREEDY:
             a = ceil_value(inv)
         else:
-            a = _odd_ceil(inv)
+            a = ceil_value(inv) | 1  # the smallest odd integer >= 1/x_n
 
         if pseudo_book:
             e = d - (a - 1) * c

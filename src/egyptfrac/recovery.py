@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NegativeBeta, NonPositiveInput, RecoveryBreakdown, SumExceeds
-from .exactnum import QuadraticValue, nearest_int, sign_of
+from .exactnum import QuadraticValue, _exact, nearest_int, sign_of
 
 __all__ = [
     "RecoveryRecord",
@@ -63,12 +63,10 @@ class CharacterizationCheck:
 def threshold(beta) -> Fraction | QuadraticValue:
     """The exact recovery threshold 8*(beta + 1/3)^2.
 
-    ``beta`` is a rational or a QuadraticValue offset; any other input is
-    first converted with ``Fraction(beta)``.  A negative offset raises
-    :class:`~egyptfrac.errors.NegativeBeta`.
+    ``beta`` goes through the exact-input rule of :mod:`egyptfrac.exactnum`.
+    A negative offset raises :class:`~egyptfrac.errors.NegativeBeta`.
     """
-    if not isinstance(beta, QuadraticValue):
-        beta = Fraction(beta)
+    beta = _exact(beta)
     if sign_of(beta) < 0:
         raise NegativeBeta(f"beta must be >= 0, got {beta}")
     t = beta + Fraction(1, 3)
@@ -78,13 +76,12 @@ def threshold(beta) -> Fraction | QuadraticValue:
 def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
     """Iterate a_n = round(1/x_n + beta) from x_1 = r for ``n_terms`` steps.
 
-    Raises :class:`~egyptfrac.errors.RecoveryBreakdown` as soon as a
-    recovered term drops below 1 or a remainder stops being positive.
+    ``r`` and ``beta`` go through the exact-input rule of
+    :mod:`egyptfrac.exactnum`, so every record field is exact.  Raises
+    :class:`~egyptfrac.errors.RecoveryBreakdown` as soon as a recovered term
+    drops below 1 or a remainder stops being positive.
     """
-    if isinstance(r, int):
-        r = Fraction(r)
-    if isinstance(beta, int):
-        beta = Fraction(beta)
+    r, beta = _exact(r), _exact(beta)
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     if sign_of(r) <= 0:
@@ -96,8 +93,8 @@ def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
     for n in range(1, n_terms + 1):
         if sign_of(x) <= 0:
             raise RecoveryBreakdown(n, f"remainder x_{n} = {x} is not positive")
-        inv = 1 / x
-        a = nearest_int(inv + beta)
+        y = 1 / x + beta
+        a = nearest_int(y)
         if a < 1:
             raise RecoveryBreakdown(n, f"recovered term a_{n} = {a} < 1")
         records.append(
@@ -105,7 +102,7 @@ def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
                 n=n,
                 a=a,
                 x=x,
-                delta=inv + beta - a,
+                delta=y - a,
                 threshold_met=sign_of(a - thr) >= 0,
             )
         )
@@ -118,17 +115,15 @@ def verify_characterization(a, r, beta) -> list[CharacterizationCheck]:
 
     For each index reports the exact gap delta_n = 1/x_n + beta - a_n and,
     where a_n clears the threshold, whether the formula reproduces a_n.  The
-    reciprocal sum of the given terms must stay strictly below r.
+    reciprocal sum of the given terms must stay strictly below r.  ``r``
+    and ``beta`` go through the exact-input rule of :mod:`egyptfrac.exactnum`.
     """
     terms = list(a)
     if not terms:
         raise ValueError("sequence must be nonempty")
     if any((not isinstance(t, int)) or t < 1 for t in terms):
         raise ValueError("sequence terms must be positive integers")
-    if isinstance(r, int):
-        r = Fraction(r)
-    if isinstance(beta, int):
-        beta = Fraction(beta)
+    r, beta = _exact(r), _exact(beta)
     thr = threshold(beta)
 
     total = sum(Fraction(1, t) for t in terms)
@@ -140,15 +135,15 @@ def verify_characterization(a, r, beta) -> list[CharacterizationCheck]:
     checks: list[CharacterizationCheck] = []
     x = r
     for n, a_n in enumerate(terms, start=1):
-        inv = 1 / x
+        y = 1 / x + beta
         met = sign_of(a_n - thr) >= 0
         checks.append(
             CharacterizationCheck(
                 n=n,
                 a=a_n,
-                delta=inv + beta - a_n,
+                delta=y - a_n,
                 threshold_met=met,
-                formula_ok=(nearest_int(inv + beta) == a_n) if met else None,
+                formula_ok=(nearest_int(y) == a_n) if met else None,
             )
         )
         x = x - Fraction(1, a_n)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -179,6 +181,16 @@ class TestGapsCommand:
         assert code == 0
         assert json.loads(out)["agree"] is True
 
+    def test_both_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "gaps", "--r", "17/23", "--terms", "12", "--method", "both",
+            "--format", "csv",
+        )
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header == ["p", "q", "compared_terms", "mismatch_indices", "agree"]
+        assert row[:2] == ["17", "23"] and row[3:] == ["", "True"]
+
     def test_unreduced_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "gaps", "--r", "2/4", "--terms", "5", "--method", "fast",
@@ -229,6 +241,20 @@ class TestBothMismatch:
         )
         assert code == 1
         assert out == "compared 5 terms: MISMATCH at [3]\n"
+
+    def test_csv_report(self, capsys, monkeypatch):
+        # two steps off, so that the indices show their separator
+        naive = perturbed_naive(perturbed_naive(cli.gap_sequence_naive, step=2), step=3)
+        monkeypatch.setattr(cli, "gap_sequence_naive", naive)
+        code, out, _ = run_cli(
+            capsys, "gaps", "--r", "11/29", "--terms", "12", "--method", "both",
+            "--format", "csv",
+        )
+        assert code == 1
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["p", "q", "compared_terms", "mismatch_indices", "agree"],
+            ["11", "29", "5", "2 3", "False"],
+        ]
 
     def test_verify_message(self, monkeypatch):
         monkeypatch.setattr(
@@ -363,6 +389,16 @@ class TestSeqCommand:
         payload = json.loads(out)
         assert abs(float(payload["c_hat"]) - 1.2640847) <= 1e-6
         assert float(payload["residual_bound"]) > 0
+
+    def test_growth_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "seq", "growth", "--m", "1", "--depth", "8", "--format", "csv",
+        )
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header == ["m", "depth", "c_hat", "residual_bound"]
+        assert row[:2] == ["1", "8"]
+        assert abs(float(row[2]) - 1.2640847) <= 1e-6 and float(row[3]) > 0
 
     def test_depth_error(self, capsys):
         code, _, err = run_cli(capsys, "seq", "growth", "--m", "1", "--depth", "99")

@@ -121,6 +121,11 @@ class TestExpandValidation:
         with pytest.raises(OddGreedyOnIrrational):
             expand(MILLIN_SUM, ExpansionKind.ODD_GREEDY, 3)
 
+    @pytest.mark.parametrize("r, kind", [(Fraction(11, 29), "pseudo"), (MILLIN_SUM, "greedy")])
+    def test_kind_must_be_a_member(self, r, kind):
+        with pytest.raises(ValueError, match=f"unknown expansion kind '{kind}'"):
+            expand(r, kind, 4)
+
     def test_bad_budgets(self):
         with pytest.raises(ValueError):
             expand(Fraction(1, 2), ExpansionKind.GREEDY, 0)

@@ -92,10 +92,18 @@ class TestRecoverSequence:
         assert checked > 100
 
     def test_round_trip_with_pseudo_greedy(self):
-        # beta = 1 recovery IS the pseudo-greedy expansion
+        # beta = 1 recovery IS the pseudo-greedy expansion, for rationals and
+        # quadratic irrationals alike
         rng = random.Random(22)
-        for _ in range(200):
-            r = Fraction(rng.randint(1, 2000), rng.randint(1000, 2000))
+        rationals = [Fraction(rng.randint(1, 2000), rng.randint(1000, 2000)) for _ in range(200)]
+        quadratics = [
+            QuadraticValue(a, b, d)
+            for d in (2, 3, 5, 7)
+            # (5 - sqrt d)/2, (1 + sqrt d)/3, 3 - sqrt d
+            for a, b in ((Fraction(5, 2), Fraction(-1, 2)), (Fraction(1, 3), Fraction(1, 3)), (3, -1))
+        ]
+        assert all(0 < r <= 2 for r in quadratics)  # none is skipped below
+        for r in rationals + quadratics:
             if r > 2 or r <= 0:
                 continue
             recs = recover_sequence(r, 1, 8)
