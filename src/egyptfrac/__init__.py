@@ -67,7 +67,6 @@ from .recovery import (
 )
 from .scanner import (
     ScanSummary,
-    TailDiagnosis,
     diagnose_tail,
     scan_conjecture,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "verify_characterization",
     # scanner
     "ScanSummary",
-    "TailDiagnosis",
     "scan_conjecture",
     "diagnose_tail",
 ]

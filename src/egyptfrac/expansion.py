@@ -114,8 +114,6 @@ def expand(
         c, d = r.numerator, r.denominator
 
     for n in range(1, max_terms + 1):
-        if rational and x == 0:
-            return Expansion(kind, records, ExpansionStatus.EXACT, zero_gap_at)
         inv = 1 / x
         if kind is ExpansionKind.PSEUDO_GREEDY:
             a = nearest_int(inv + 1)
@@ -141,12 +139,14 @@ def expand(
             if e == 0 and zero_gap_at is None:
                 zero_gap_at = n
                 if stop_at_first_zero:
-                    return Expansion(kind, records, ExpansionStatus.ZERO_GAP, zero_gap_at)
+                    break
             c, d = c - e, d * a
         else:
             records.append(ExpansionRecord(n=n, a=a, x=x))
 
         x = x - Fraction(1, a)
+        if rational and x == 0:
+            break
 
     if rational and x == 0:
         status = ExpansionStatus.EXACT
@@ -163,18 +163,14 @@ class GapStep(NamedTuple):
     eps: Fraction
 
 
-def gap_sequence_naive(
-    p: int,
-    q: int,
-    max_terms: int,
-    digit_limit: int = NAIVE_DIGIT_LIMIT,
-) -> list[GapStep]:
+def gap_sequence_naive(p: int, q: int, max_terms: int) -> list[GapStep]:
     """Gap sequence of the pseudo-greedy expansion of p/q, by full arithmetic.
 
     Keeps the exact unreduced d_n, so it serves as the oracle for the
     modular fast path.  d_n roughly squares per step; the walk stops once
-    its decimal length exceeds ``digit_limit``, and every emitted step is
-    exact.  The input must already be in lowest terms.
+    its decimal length exceeds ``NAIVE_DIGIT_LIMIT`` (read at call time),
+    and every emitted step is exact.  The input must already be in lowest
+    terms.
     """
     if p < 1 or q < 1:
         raise ValueError(f"p and q must be >= 1, got p={p}, q={q}")
@@ -185,7 +181,7 @@ def gap_sequence_naive(
 
     out: list[GapStep] = []
     c, d = p, q
-    while len(out) < max_terms and decimal_digits(d) <= digit_limit:
+    while len(out) < max_terms and decimal_digits(d) <= NAIVE_DIGIT_LIMIT:
         rem = d % c
         e = rem - c if 2 * rem >= c else rem
         out.append(GapStep(c, e, Fraction(e, c)))

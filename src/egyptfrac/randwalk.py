@@ -40,7 +40,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _TRIAL_CAP = 1 << 32
 _STEP_CAP = 1 << 32
-# samples per slab of rows within a block: 2 MiB per float64 array
+# steps drawn at a time, and samples per slab of rows within such a block
+# (2 MiB per float64 array); both read at call time
+_BLOCK_STEPS = 512
 _SLAB_SAMPLES = 1 << 18
 
 __all__ = ["GENERATOR_ID", "WalkStats", "analytic_drift", "run_walks"]
@@ -89,25 +91,20 @@ def _uniform_block(seed: np.uint64, trials: np.ndarray, step_lo: int, n_steps: i
     return bits.astype(np.float64) * 2.0**-64
 
 
-def run_walks(
-    c0: float,
-    steps: int,
-    trials: int,
-    seed: int,
-    block: int = 512,
-) -> tuple[WalkStats, np.ndarray]:
+def run_walks(c0: float, steps: int, trials: int, seed: int) -> tuple[WalkStats, np.ndarray]:
     """Deterministic Monte-Carlo run of the multiplicative walk model.
 
     Returns the summary statistics and the per-trial hitting steps (-1 = no
-    hit).  ``block`` is the number of steps drawn at a time.  It changes no
-    drawn sample and no hitting step, but it regroups the float sums, so
-    ``mean_log_t`` and ``stderr_log_t`` may differ in the last ulp between
-    block sizes.
+    hit).  The result is a pure function of ``(c0, steps, trials, seed)``.
+    Steps are drawn a block of 512 at a time; another block size would
+    change no drawn sample and no hitting step, but it would regroup the
+    float sums, so ``mean_log_t`` and ``stderr_log_t`` could differ in the
+    last ulp.
 
     Memory: each block is drawn, accumulated and tested a slab of rows at a
     time (about 2^18 samples, 2 MiB per float64 array), and the steps
     actually taken are packed in row order into one buffer of at most
-    ``trials * block`` floats.  The peak is that buffer plus a few slabs.
+    ``trials * 512`` floats.  The peak is that buffer plus a few slabs.
     The packed steps are exactly those of the whole block in the same
     order, so the slabs change no float.
     """
@@ -120,6 +117,7 @@ def run_walks(
     if not 1 <= steps < _STEP_CAP:
         raise ValueError(f"steps must be in [1, 2^32), got {steps}")
     seed_u = np.uint64(seed & _U64_MASK)
+    block = _BLOCK_STEPS
 
     # c0 = 1 has hit before the first step: no trial is active
     hit_step = np.full(trials, 0 if c0 == 1 else -1, dtype=np.int64)

@@ -121,7 +121,7 @@ def verify_characterization(a, r, beta) -> list[CharacterizationCheck]:
     terms = list(a)
     if not terms:
         raise ValueError("sequence must be nonempty")
-    if any((not isinstance(t, int)) or t < 1 for t in terms):
+    if any(not isinstance(t, int) or isinstance(t, bool) or t < 1 for t in terms):
         raise ValueError("sequence terms must be positive integers")
     r, beta = _exact(r), _exact(beta)
     thr = threshold(beta)

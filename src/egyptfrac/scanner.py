@@ -46,7 +46,6 @@ from .gapfast import GapTrace, gap_sequence_fast
 
 __all__ = [
     "ScanSummary",
-    "TailDiagnosis",
     "scan_conjecture",
     "diagnose_tail",
     "coprime_numerators",
@@ -71,47 +70,20 @@ class ScanSummary:
     wall_time_s: float
 
 
-@dataclass(frozen=True)
-class TailDiagnosis:
-    """Finite-prefix tail-sign diagnostic for one trace.
+def diagnose_tail(trace: GapTrace) -> int | None:
+    """The trace's ``tail_sign_index``: the 1-based first index t with
+    e_k >= 0 for every observed k >= t.
 
-    ``tail_start`` is the smallest index t with e_k >= 0 for every observed
-    k >= t (None when the last observed e is negative).  From t on, the
-    recurrence c_{k+1} = c_k - e_k forces c to be non-increasing, and for a
-    terminated trace constant from n0 + 1 onward; both facts are rechecked
-    directly against the arrays rather than trusted.
+    None when the last observed e is negative; 1 when no e is.  A trace with
+    no steps is a ``ValueError``.
     """
-
-    tail_start: int | None
-    c_nonincreasing: bool | None
-    c_constant_after_zero: bool | None
-
-
-def _tail_start(es: list[int]) -> int | None:
-    """1-based first index of the all-nonnegative suffix of ``es``.
-
-    None when the last entry is negative; 1 when no entry is.
-    """
+    es = trace.e
+    if not es:
+        raise ValueError("trace has no steps to diagnose")
     for i in range(len(es) - 1, -1, -1):
         if es[i] < 0:
             return None if i == len(es) - 1 else i + 2
     return 1
-
-
-def diagnose_tail(trace: GapTrace) -> TailDiagnosis:
-    es, cs = trace.e, trace.c
-    if not es:
-        raise ValueError("trace has no steps to diagnose")
-    t = _tail_start(es)
-    if t is None:
-        return TailDiagnosis(None, None, None)
-    tail_c = cs[t - 1 :]
-    noninc = all(x >= y for x, y in zip(tail_c, tail_c[1:]))
-    constant = None
-    if trace.terminated:
-        after = cs[trace.n0 :]
-        constant = all(x == after[0] for x in after)
-    return TailDiagnosis(t, noninc, constant)
 
 
 def coprime_numerators(q: int) -> list[int]:
@@ -132,11 +104,12 @@ def _scan_q(q: int, n_max: int) -> list[tuple]:
     """Rows of one q group: the unit of work of a scan."""
     rows = []
     for p in coprime_numerators(q):
-        # looked up as a module global on every call: the benchmark tracer wraps it
+        # both looked up as module globals on every call: the benchmark
+        # tracer wraps gap_sequence_fast and diagnose_tail
         trace = gap_sequence_fast(p, q, n_max)
         rows.append((
             p, q, trace.n0, trace.steps, max(trace.c),
-            "ZERO" if trace.terminated else "MAXITER", _tail_start(trace.e),
+            "ZERO" if trace.terminated else "MAXITER", diagnose_tail(trace),
         ))
     return rows
 

@@ -27,7 +27,7 @@ from egyptfrac.exactnum import (
     to_decimal,
 )
 
-from oracles import interval_nearest_int
+from oracles import interval_nearest_int, sqrt_bounds
 
 MILLIN_SUM = QuadraticValue(Fraction(5, 2), Fraction(-1, 2), 5)
 
@@ -112,6 +112,81 @@ class TestQuadArith:
         # the conjugate formula, written out: (a + b sqrt5)(a - b sqrt5) = a^2 - 5 b^2
         norm = a * a - 5 * b * b
         assert x * q5(a / norm, -b / norm) == q5(1, 0)
+
+
+def sqrt5_bracket(x):
+    """Rationals lo < x < hi, from a bracket of sqrt(5) that shares no code
+    with QuadraticValue."""
+    lo, hi = sqrt_bounds(5)
+    return tuple(sorted((x.a + x.b * lo, x.a + x.b * hi)))
+
+
+ORDER_VALUES = [MILLIN_SUM, q5(2, -1), q5(0, Fraction(1, 10)), q5(1, 1), q5(Fraction(-3, 7), 1)]
+
+
+class TestQuadOperators:
+    @pytest.mark.parametrize("x", ORDER_VALUES, ids=str)
+    @pytest.mark.parametrize("f", [
+        Fraction(-1, 4), Fraction(0), Fraction(1, 5), Fraction(138196601, 10**8),
+        Fraction(7, 5), Fraction(17, 5),
+    ], ids=str)
+    def test_order_against_fraction(self, x, f):
+        lo, hi = sqrt5_bracket(x)
+        assert f < lo or f > hi  # the bracket decides
+        above = f < lo
+        assert (x > f, x >= f, x < f, x <= f) == (above, above, not above, not above)
+        # reflected: Fraction defers to QuadraticValue
+        assert (f < x, f <= x, f > x, f >= x) == (above, above, not above, not above)
+
+    @pytest.mark.parametrize("x", ORDER_VALUES, ids=str)
+    @pytest.mark.parametrize("y", ORDER_VALUES, ids=str)
+    def test_order_between_values(self, x, y):
+        if x.a == y.a and x.b == y.b:
+            assert (x < y, x <= y, x > y, x >= y) == (False, True, False, True)
+            return
+        (x_lo, x_hi), (y_lo, y_hi) = sqrt5_bracket(x), sqrt5_bracket(y)
+        assert x_hi < y_lo or y_hi < x_lo  # the brackets decide
+        below = x_hi < y_lo
+        assert (x < y, x <= y, x > y, x >= y) == (below, below, not below, not below)
+
+    @pytest.mark.parametrize("a", [0, 7, -3, Fraction(3, 7), Fraction(-1, 2)], ids=str)
+    def test_rational_value_hashes_like_its_rational(self, a):
+        assert hash(QuadraticValue(a, 0, 5)) == hash(a)
+        assert len({QuadraticValue(a, 0, 5), Fraction(a)}) == 1
+
+    def test_equal_values_hash_equal(self):
+        assert hash(q5(Fraction(2, 2), 1)) == hash(QuadraticValue(1, Fraction(3, 3), 5))
+
+    def test_truthiness(self):
+        assert not q5(0, 0)
+        assert q5(0, 1) and q5(1, 0) and q5(2, -1)
+
+    def test_repr(self):
+        assert repr(q5(Fraction(1, 2), -1)) == (
+            "QuadraticValue(Fraction(1, 2), Fraction(-1, 1), rad=5)")
+
+    def test_unary_plus_is_identity(self):
+        assert +MILLIN_SUM is MILLIN_SUM
+
+    def test_immutable(self):
+        x = q5(1, 1)
+        for name in ("a", "b", "rad", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 2)
+        assert (x.a, x.b, x.rad) == (1, 1, 5)
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x + "x", lambda x: "x" + x, lambda x: x - "x", lambda x: "x" - x,
+        lambda x: x * "x", lambda x: x / "x", lambda x: "x" / x, lambda x: x + 1.5,
+        lambda x: x < "x", lambda x: x <= "x", lambda x: x > "x", lambda x: x >= "x",
+    ], ids=["add", "radd", "sub", "rsub", "mul", "truediv", "rtruediv", "add-float",
+            "lt", "le", "gt", "ge"])
+    def test_foreign_operand_is_a_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(MILLIN_SUM)
+
+    def test_foreign_operand_is_unequal(self):
+        assert MILLIN_SUM != "x" and not MILLIN_SUM == "x"
 
 
 class TestQuadSign:

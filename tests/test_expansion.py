@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egyptfrac import expansion
 from egyptfrac.errors import NonPositiveInput, NotReduced, OddGreedyOnIrrational
 from egyptfrac.exactnum import QuadraticValue, nearest_int
 from egyptfrac.expansion import (
@@ -78,6 +79,21 @@ class TestKnownExpansions:
         res = expand(Fraction(5, 6), ExpansionKind.GREEDY, 10)
         assert [r.a for r in res.records] == [2, 3]
         assert res.status is ExpansionStatus.EXACT
+
+    @pytest.mark.parametrize("r, kind, terms, stop, want, status", [
+        pytest.param(Fraction(1, 2), ExpansionKind.GREEDY, 1, False, [2],
+                     ExpansionStatus.EXACT, id="exact-on-the-last-term"),
+        pytest.param(Fraction(5, 6), ExpansionKind.GREEDY, 2, False, [2, 3],
+                     ExpansionStatus.EXACT, id="exact-at-the-budget"),
+        pytest.param(Fraction(5, 6), ExpansionKind.GREEDY, 5, False, [2, 3],
+                     ExpansionStatus.EXACT, id="exact-before-the-budget"),
+        pytest.param(Fraction(11, 29), ExpansionKind.PSEUDO_GREEDY, 10, True, TABLE_A[:5],
+                     ExpansionStatus.ZERO_GAP, id="stop-at-first-zero"),
+    ])
+    def test_status_where_the_stream_ends(self, r, kind, terms, stop, want, status):
+        res = expand(r, kind, terms, stop_at_first_zero=stop)
+        assert [rec.a for rec in res.records] == want
+        assert res.status is status
 
     def test_odd_greedy_3_7(self):
         res = expand(Fraction(3, 7), ExpansionKind.ODD_GREEDY, 10)
@@ -251,8 +267,9 @@ class TestGapSequenceNaive:
         with pytest.raises(ValueError):
             gap_sequence_naive(1, 1, 0)
 
-    def test_digit_limit_stops_early(self):
-        steps = gap_sequence_naive(11, 29, 50, digit_limit=10)
+    def test_digit_limit_stops_early(self, monkeypatch):
+        monkeypatch.setattr(expansion, "NAIVE_DIGIT_LIMIT", 10)
+        steps = gap_sequence_naive(11, 29, 50)
         assert 0 < len(steps) < 50
 
     def test_matches_expand_bookkeeping(self):

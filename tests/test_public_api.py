@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 
 import egyptfrac
-from egyptfrac import sequences
+from egyptfrac import expansion, randwalk, sequences
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # one name per exact operation: these duplicates of nearest_int, sign_of,
-# the operators, to_decimal and run_walks are gone, and scan rows are plain
-# tuples, not ScanRecord objects
+# the operators, to_decimal and run_walks are gone, scan rows are plain
+# tuples, not ScanRecord objects, and diagnose_tail returns the tail index
+# itself, not a TailDiagnosis
 DELETED = (
     "rat_nearest_int",
     "quad_nearest_int",
@@ -26,6 +27,7 @@ DELETED = (
     "quad_to_decimal",
     "simulate_walk",
     "ScanRecord",
+    "TailDiagnosis",
 )
 
 MODULES = [
@@ -59,12 +61,21 @@ class TestPublicSurface:
         with pytest.raises(TypeError):
             call()
 
+    def test_no_digit_limit_keyword(self):
+        with pytest.raises(TypeError):
+            expansion.gap_sequence_naive(11, 29, 5, digit_limit=10)
+
+    def test_no_block_keyword(self):
+        with pytest.raises(TypeError):
+            randwalk.run_walks(50.0, 30, 20, 9, block=7)
+
 
 # spans (and counters) that each traced command must record at least once
 _TRACED = [
     pytest.param(
         ["scan", "--qmin", "1", "--qmax", "12", "--maxiter", "100", "--out", "scan.csv"],
-        ["cli.main", "scanner.scan_conjecture", "gapfast.gap_sequence_fast", "cli.progress"],
+        ["cli.main", "scanner.scan_conjecture", "gapfast.gap_sequence_fast",
+         "scanner.diagnose_tail", "cli.progress"],
         ["scanner.rows_computed", "scanner.out_bytes"],
         id="scan",
     ),

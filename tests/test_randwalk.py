@@ -42,12 +42,14 @@ class TestDeterminism:
         b = run_walks(100.0, 200, 500, seed=124)[0]
         assert a.mean_log_t != b.mean_log_t
 
-    def test_block_size_does_not_change_samples(self):
+    def test_block_size_does_not_change_samples(self, monkeypatch):
         # counter-based sampling: trial/step splitting cannot change the
         # drawn values or hit steps (aggregate floats may differ by an ulp
         # from summation order, so compare those with a tight tolerance)
-        a, hits_a = run_walks(50.0, 300, 200, seed=9, block=7)
-        b, hits_b = run_walks(50.0, 300, 200, seed=9, block=256)
+        monkeypatch.setattr(randwalk, "_BLOCK_STEPS", 7)
+        a, hits_a = run_walks(50.0, 300, 200, seed=9)
+        monkeypatch.setattr(randwalk, "_BLOCK_STEPS", 256)
+        b, hits_b = run_walks(50.0, 300, 200, seed=9)
         assert (hits_a == hits_b).all()
         assert a.hit_fraction == b.hit_fraction
         assert a.mean_hit_time == b.mean_hit_time
@@ -137,7 +139,8 @@ class TestSlabs:
     ])
     def test_bit_identical_to_whole_block(self, monkeypatch, c0, steps, trials, block):
         monkeypatch.setattr(randwalk, "_SLAB_SAMPLES", 3 * 64)  # 3 rows of 64
-        stats, hits = run_walks(c0, steps, trials, 9, block=block)
+        monkeypatch.setattr(randwalk, "_BLOCK_STEPS", block)
+        stats, hits = run_walks(c0, steps, trials, 9)
         want, want_hits = run_walks_whole_block(c0, steps, trials, 9, block=block)
         assert stats == want
         assert np.array_equal(hits, want_hits)

@@ -188,6 +188,16 @@ class TestVerifyCharacterization:
         with pytest.raises(ValueError):
             verify_characterization([2, 0], Fraction(1), 1)
 
+    @pytest.mark.parametrize("terms", [[True], [2, False]], ids=["true", "false"])
+    def test_bool_terms_rejected(self, terms):
+        with pytest.raises(ValueError, match="sequence terms must be positive integers"):
+            verify_characterization(terms, 2, 1)
+
+    def test_int_terms_accepted(self):
+        checks = verify_characterization([2, 3], 1, 1)
+        assert [c.a for c in checks] == [2, 3]
+        assert all(type(c.a) is int for c in checks)
+
 
 class TestMillinFirstThreeBound:
     def test_exact_inequality(self):
