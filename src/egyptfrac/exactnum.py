@@ -88,6 +88,9 @@ class QuadraticValue:
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticValue is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("QuadraticValue is immutable")
+
     # -- construction helpers -------------------------------------------
 
     def _lift(self, other) -> "QuadraticValue | None":

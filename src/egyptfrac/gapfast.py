@@ -10,7 +10,10 @@ Exact prefix: while d_n < 2**EXACT_BITS it is kept whole, and a step is one
 ``divmod`` and one multiplication.  With a, t = divmod(d_n, c_n) the residue
 is e_n = t or e_n = t - c_n, so (d_n - e_n)/c_n is a or a + 1 and the next
 factor a_n is a + 1 when e_n = t and a + 2 when e_n = t - c_n.  Most pairs
-reach their first zero gap here.
+reach their first zero gap here.  This loop is one private function that
+``gap_sequence_fast`` and the scanner both call: as it steps it keeps the
+largest c and the last step with e < 0, which is all a scan row needs, and
+it records c_n and e_n only for a caller that passes lists to fill.
 
 Modular chain: from the first d_K past the budget on, d is no longer
 updated.  Each outer step n >= K instead runs the residue chain below along
@@ -78,6 +81,49 @@ class GapTrace(NamedTuple):
         return [Fraction(e, c) for e, c in zip(self.e, self.c)]
 
 
+def _exact_prefix(c: int, d: int, n_max: int, past_zero: int = 0,
+                  cs: list[int] | None = None, es: list[int] | None = None) -> tuple:
+    """Run the exact prefix from c_1 = ``c`` and d_1 = ``d`` (see the module
+    docstring); the one loop that both ``gap_sequence_fast`` and the scan use.
+
+    Steps while n < n_max and d_n < 2**EXACT_BITS, and stops ``past_zero``
+    steps after the first zero gap.  Returns ``(n, n0, c, d, max_c,
+    last_neg)``: the steps taken, the first zero index or None, c_{n+1} and
+    the exact d_{n+1}, the largest of c_1..c_{n+1}, and the last step with
+    e < 0 (0 if none).  The trace is complete when n reaches n_max or, with
+    n0 set, n0 + past_zero; otherwise d has passed the bound.  e_k and
+    c_{k+1} are appended to ``es`` and ``cs`` only when the caller passes
+    them.  The arguments are not checked.
+    """
+    bound = 1 << EXACT_BITS
+    n0 = None
+    limit = n_max
+    max_c = c
+    last_neg = n = 0
+    while n < limit and d < bound:
+        n += 1
+        a, t = divmod(d, c)
+        # center t = d_n mod c_n into [-c_n/2, c_n/2); a_n is a + 2 or a + 1
+        if 2 * t >= c:
+            e = t - c
+            d *= a + 2
+            c -= e  # e < 0: c grows
+            last_neg = n
+            if c > max_c:
+                max_c = c
+        else:
+            e = t
+            d *= a + 1
+            c -= e
+            if e == 0 and n0 is None:
+                n0 = n
+                limit = n + past_zero
+        if cs is not None:
+            es.append(e)
+            cs.append(c)
+    return n, n0, c, d, max_c, last_neg
+
+
 def gap_sequence_fast(
     p: int, q: int, n_max: int, past_zero: int = 0, *, fully_modular: bool = False
 ) -> GapTrace:
@@ -98,31 +144,13 @@ def gap_sequence_fast(
     if past_zero < 0:
         raise ValueError(f"past_zero must be >= 0, got {past_zero}")
 
-    # d = q >= 1 never passes a bound of 1, so fully_modular empties the prefix
-    bound = 1 << (0 if fully_modular else EXACT_BITS)
     cs = [p]
     es: list[int] = []
-    n0: int | None = None
-    limit = n_max
-    c = p
-    d = q  # exact d_n in the prefix; the seed d_K once the chain starts
-    n = 0
-    while n < limit and d < bound:
-        n += 1
-        a, t = divmod(d, c)
-        # center t = d_n mod c_n into [-c_n/2, c_n/2); a_n is a + 2 or a + 1
-        if 2 * t >= c:
-            e = t - c
-            d *= a + 2
-        else:
-            e = t
-            d *= a + 1
-        c -= e
-        es.append(e)
-        cs.append(c)
-        if e == 0 and n0 is None:
-            n0 = n
-            limit = n + past_zero
+    if fully_modular:  # an empty prefix: the chain starts from d_1 = q
+        n, n0, c, d = 0, None, p, q
+    else:
+        n, n0, c, d, _, _ = _exact_prefix(p, q, n_max, past_zero, cs, es)
+    limit = n_max if n0 is None else n0 + past_zero
 
     k0 = n  # 0-based index of d_K in cs
     while n < limit:

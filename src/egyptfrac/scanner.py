@@ -6,6 +6,14 @@ within the iteration budget, or not (status MAXITER).  MAXITER rows are the
 interesting output -- potential counterexample leads -- and are surfaced
 loudly by the CLI, but they are not errors.
 
+A row is read straight off the kernel's exact prefix (``gapfast``), which
+keeps the largest c and the last negative gap as it steps, so no trace is
+built for most pairs.  A pair whose d_n passes 2**EXACT_BITS before it
+finishes is computed by ``gap_sequence_fast`` and ``diagnose_tail``
+instead.  Each q group's deepest row (the most steps; the smallest p among
+equals) is computed that way too and must equal the row the prefix gave,
+or the scan stops with an ``AssertionError`` before writing that group.
+
 A row is a plain tuple in CSV column order,
 ``(p, q, n0, steps, max_c, status, tail_sign_index)``, from the worker that
 computes it through the pool transfer to the progress callback; no object
@@ -37,12 +45,13 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
-from math import ceil, gcd
+from itertools import compress, islice
+from math import ceil
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import CorruptCheckpoint, IoError
-from .gapfast import GapTrace, gap_sequence_fast
+from .gapfast import GapTrace, _exact_prefix, gap_sequence_fast
 
 __all__ = [
     "ScanSummary",
@@ -88,7 +97,17 @@ def diagnose_tail(trace: GapTrace) -> int | None:
 
 def coprime_numerators(q: int) -> list[int]:
     """Numerators p with 1 <= p <= q and gcd(p, q) = 1."""
-    return [p for p in range(1, q + 1) if gcd(p, q) == 1]
+    keep = bytearray(b"\x01") * q  # keep[p - 1] for p = 1..q
+    m, f = q, 2
+    while f * f <= m:
+        if m % f == 0:
+            keep[f - 1::f] = bytes(q // f)  # strike every multiple of the prime f
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:  # the one prime factor above sqrt(q)
+        keep[m - 1::m] = bytes(q // m)
+    return list(compress(range(1, q + 1), keep))
 
 
 def _format_rows(rows: list[tuple]) -> bytes:
@@ -101,17 +120,36 @@ def _format_rows(rows: list[tuple]) -> bytes:
 
 
 def _scan_q(q: int, n_max: int) -> list[tuple]:
-    """Rows of one q group: the unit of work of a scan."""
+    """Rows of one q group: the unit of work of a scan.
+
+    A row comes straight from the exact prefix.  A pair whose d_n passes
+    2**EXACT_BITS before it finishes is traced in full instead, and so is
+    the group's deepest row (most steps, smallest p among equals), which
+    must equal the row the prefix gave it.
+    """
+    prefix = _exact_prefix
     rows = []
     for p in coprime_numerators(q):
-        # both looked up as module globals on every call: the benchmark
-        # tracer wraps gap_sequence_fast and diagnose_tail
-        trace = gap_sequence_fast(p, q, n_max)
-        rows.append((
-            p, q, trace.n0, trace.steps, max(trace.c),
-            "ZERO" if trace.terminated else "MAXITER", diagnose_tail(trace),
-        ))
+        n, n0, _, _, max_c, last_neg = prefix(p, q, n_max)
+        if n0 is None and n < n_max:  # d_n passed the bound first
+            rows.append(_traced_row(p, q, n_max))
+        else:
+            rows.append((p, q, n0, n, max_c, "MAXITER" if n0 is None else "ZERO",
+                         None if last_neg == n else last_neg + 1))
+    deepest = max(rows, key=itemgetter(3))
+    if _traced_row(deepest[0], q, n_max) != deepest:
+        raise AssertionError(
+            f"scan row of {deepest[0]}/{q} differs from its trace under n_max={n_max}")
     return rows
+
+
+def _traced_row(p: int, q: int, n_max: int) -> tuple:
+    """The row of p/q from its full ``GapTrace``."""
+    # both looked up as module globals on every call: the benchmark tracer
+    # wraps gap_sequence_fast and diagnose_tail
+    trace = gap_sequence_fast(p, q, n_max)
+    return (p, q, trace.n0, trace.steps, max(trace.c),
+            "ZERO" if trace.terminated else "MAXITER", diagnose_tail(trace))
 
 
 def Pool(*args, **kwargs):

@@ -173,6 +173,9 @@ class TestQuadOperators:
         for name in ("a", "b", "rad", "other"):
             with pytest.raises(AttributeError):
                 setattr(x, name, 2)
+        for name in ("a", "b", "rad"):
+            with pytest.raises(AttributeError, match="QuadraticValue is immutable"):
+                delattr(x, name)
         assert (x.a, x.b, x.rad) == (1, 1, 5)
 
     @pytest.mark.parametrize("op", [

@@ -458,3 +458,33 @@ class TestRowsMatchNaiveOracle:
         out = tmp_path / "scan.csv"
         scan_conjecture(1, 60, n_max, out)
         assert read_rows(out) == naive_lines(60, n_max)
+
+
+class TestCoprimeNumerators:
+    def test_matches_gcd(self):
+        for q in range(1, 3001):
+            assert coprime_numerators(q) == [p for p in range(1, q + 1) if gcd(p, q) == 1], q
+
+
+class TestGroupSelfCheck:
+    # rows come from the shared exact prefix; each group's deepest row is
+    # recomputed from its full trace, so a prefix that reports a wrong field
+    # for that pair stops the scan before its group is written
+    @pytest.mark.parametrize("field", [4, 5], ids=["max_c", "tail"])
+    def test_wrong_deepest_row_is_caught(self, tmp_path, monkeypatch, field):
+        q, n_max = 29, 1000
+        steps = {p: gap_sequence_fast(p, q, n_max).steps for p in coprime_numerators(q)}
+        deep = max(steps, key=steps.get)  # the first p with the most steps
+        real = scanner._exact_prefix
+
+        def wrong(c, d, *args):
+            got = real(c, d, *args)
+            if (c, d) != (deep, q):
+                return got
+            return got[:field] + (got[field] + 1,) + got[field + 1:]
+
+        monkeypatch.setattr(scanner, "_exact_prefix", wrong)
+        out = tmp_path / "scan.csv"
+        with pytest.raises(AssertionError, match=f"row of {deep}/{q} differs"):
+            scan_conjecture(1, 40, n_max, out)
+        assert {int(r.split(",")[1]) for r in read_rows(out)} == set(range(1, q))
