@@ -10,10 +10,7 @@ Exact prefix: while d_n < 2**EXACT_BITS it is kept whole, and a step is one
 ``divmod`` and one multiplication.  With a, t = divmod(d_n, c_n) the residue
 is e_n = t or e_n = t - c_n, so (d_n - e_n)/c_n is a or a + 1 and the next
 factor a_n is a + 1 when e_n = t and a + 2 when e_n = t - c_n.  Most pairs
-reach their first zero gap here.  This loop is one private function that
-``gap_sequence_fast`` and the scanner both call: as it steps it keeps the
-largest c and the last step with e < 0, which is all a scan row needs, and
-it records c_n and e_n only for a caller that passes lists to fill.
+reach their first zero gap here.
 
 Modular chain: from the first d_K past the budget on, d is no longer
 updated.  Each outer step n >= K instead runs the residue chain below along
@@ -32,8 +29,13 @@ M_k / c_k = c_{k+1}...c_n, which is exactly the modulus the next step
 needs.  Without the extra factor the quotient would be undefined.  The chain
 checks that divisibility at every link.
 
-Forced-modular switch: ``fully_modular=True`` makes the exact prefix empty,
-so the chain is seeded with d_1 = q at every outer step and d_n is never
+Both loops are one private kernel, which ``gap_sequence_fast`` and every
+scan row call.  As it steps it keeps the largest c and the last step with
+e < 0, which is all a scan row needs, and it records c_n and e_n only for a
+caller that passes lists to fill.
+
+Forced-modular switch: ``fully_modular=True`` gives the exact prefix a bound
+of 0, so the chain is seeded with d_1 = q at every outer step and d_n is never
 formed.  The cross-checks against exact arithmetic (``verify_fast_vs_naive``
 and the CLI's ``gaps``) use it, because short traces never leave the exact
 prefix: with the default they would compare exact arithmetic with itself.
@@ -43,7 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .errors import NotReduced
@@ -81,21 +85,20 @@ class GapTrace(NamedTuple):
         return [Fraction(e, c) for e, c in zip(self.e, self.c)]
 
 
-def _exact_prefix(c: int, d: int, n_max: int, past_zero: int = 0,
-                  cs: list[int] | None = None, es: list[int] | None = None) -> tuple:
-    """Run the exact prefix from c_1 = ``c`` and d_1 = ``d`` (see the module
-    docstring); the one loop that both ``gap_sequence_fast`` and the scan use.
+def _kernel(p: int, q: int, n_max: int, past_zero: int = 0, fully_modular: bool = False,
+            cs: list[int] | None = None, es: list[int] | None = None) -> tuple:
+    """Run the exact prefix and then the residue chain for reduced p/q (see
+    the module docstring); the one kernel behind ``gap_sequence_fast`` and
+    every scan row.
 
-    Steps while n < n_max and d_n < 2**EXACT_BITS, and stops ``past_zero``
-    steps after the first zero gap.  Returns ``(n, n0, c, d, max_c,
-    last_neg)``: the steps taken, the first zero index or None, c_{n+1} and
-    the exact d_{n+1}, the largest of c_1..c_{n+1}, and the last step with
-    e < 0 (0 if none).  The trace is complete when n reaches n_max or, with
-    n0 set, n0 + past_zero; otherwise d has passed the bound.  e_k and
-    c_{k+1} are appended to ``es`` and ``cs`` only when the caller passes
-    them.  The arguments are not checked.
+    Steps until n_max steps or ``past_zero`` steps after the first zero gap.
+    Returns ``(n, n0, max_c, last_neg)``: the steps taken, the first zero
+    index or None, the largest of c_1..c_{n+1}, and the last step with
+    e < 0 (0 if none).  e_k and c_{k+1} are appended to ``es`` and ``cs``
+    only when the caller passes them.  The arguments are not checked.
     """
-    bound = 1 << EXACT_BITS
+    bound = 0 if fully_modular else 1 << EXACT_BITS
+    c, d = p, q
     n0 = None
     limit = n_max
     max_c = c
@@ -121,7 +124,41 @@ def _exact_prefix(c: int, d: int, n_max: int, past_zero: int = 0,
         if cs is not None:
             es.append(e)
             cs.append(c)
-    return n, n0, c, d, max_c, last_neg
+    if n == limit:
+        return n, n0, max_c, last_neg
+
+    # the residue chain from d_K = d; chain_c[i] is c_{K+i}, chain_e[i] e_{K+i}
+    k0 = n
+    chain_c, chain_e = [c], []
+    while n < limit:
+        n += 1
+        # suffix[i] = c_{K+i} * ... * c_n, the modulus M_{K+i}; suffix[-1] = 1
+        suffix = list(accumulate(reversed(chain_c), mul))[::-1] + [1]
+        t = d % suffix[0]
+        for i, e in enumerate(chain_e):
+            u, rem = divmod((t - e) % suffix[i], chain_c[i])
+            if rem:
+                raise AssertionError(
+                    f"modulus-chain violation at p={p} q={q} n={n} k={k0 + i + 1}: "
+                    "tracked residue of d_k - e_k is not divisible by c_k"
+                )
+            t = t * (u + 1) % suffix[i + 1]
+        # t is now d_n mod c_n; center it into [-c_n/2, c_n/2)
+        e = t - c if 2 * t >= c else t
+        c -= e
+        chain_e.append(e)
+        chain_c.append(c)
+        if e < 0:
+            last_neg = n
+            if c > max_c:
+                max_c = c
+        elif e == 0 and n0 is None:
+            n0 = n
+            limit = n + past_zero
+    if cs is not None:
+        es += chain_e
+        cs += chain_c[1:]
+    return n, n0, max_c, last_neg
 
 
 def gap_sequence_fast(
@@ -143,42 +180,8 @@ def gap_sequence_fast(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if past_zero < 0:
         raise ValueError(f"past_zero must be >= 0, got {past_zero}")
-
-    cs = [p]
-    es: list[int] = []
-    if fully_modular:  # an empty prefix: the chain starts from d_1 = q
-        n, n0, c, d = 0, None, p, q
-    else:
-        n, n0, c, d, _, _ = _exact_prefix(p, q, n_max, past_zero, cs, es)
-    limit = n_max if n0 is None else n0 + past_zero
-
-    k0 = n  # 0-based index of d_K in cs
-    while n < limit:
-        n += 1
-        # suffix[i] = cs[k0 + i] * ... * cs[n - 1], i.e. M_{K+i}
-        suffix = [1] * (n - k0 + 1)
-        acc = 1
-        for i in range(n - 1, k0 - 1, -1):
-            acc *= cs[i]
-            suffix[i - k0] = acc
-        t = d % suffix[0]
-        for k in range(k0, n - 1):
-            u, rem = divmod((t - es[k]) % suffix[k - k0], cs[k])
-            if rem:
-                raise AssertionError(
-                    f"modulus-chain violation at p={p} q={q} n={n} k={k + 1}: "
-                    "tracked residue of d_k - e_k is not divisible by c_k"
-                )
-            t = t * (u + 1) % suffix[k - k0 + 1]
-        # t is now d_n mod c_n; center it into [-c_n/2, c_n/2)
-        e = t - c if 2 * t >= c else t
-        c -= e
-        es.append(e)
-        cs.append(c)
-        if e == 0 and n0 is None:
-            n0 = n
-            limit = n + past_zero
-
+    cs, es = [p], []
+    n, n0, _, _ = _kernel(p, q, n_max, past_zero, fully_modular, cs, es)
     return GapTrace(p, q, cs, es, n0 is not None, n0, n)
 
 

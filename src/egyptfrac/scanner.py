@@ -6,13 +6,12 @@ within the iteration budget, or not (status MAXITER).  MAXITER rows are the
 interesting output -- potential counterexample leads -- and are surfaced
 loudly by the CLI, but they are not errors.
 
-A row is read straight off the kernel's exact prefix (``gapfast``), which
-keeps the largest c and the last negative gap as it steps, so no trace is
-built for most pairs.  A pair whose d_n passes 2**EXACT_BITS before it
-finishes is computed by ``gap_sequence_fast`` and ``diagnose_tail``
-instead.  Each q group's deepest row (the most steps; the smallest p among
-equals) is computed that way too and must equal the row the prefix gave,
-or the scan stops with an ``AssertionError`` before writing that group.
+Every row comes from one call of the gap kernel (``gapfast``), which keeps
+the largest c and the last negative gap as it steps, so no trace is built
+per pair.  Each q group's deepest row (the most steps; the smallest p among
+equals) is recomputed through ``gap_sequence_fast`` and ``diagnose_tail``
+and must equal the row the kernel gave, or the scan stops with an
+``AssertionError`` before writing that group.
 
 A row is a plain tuple in CSV column order,
 ``(p, q, n0, steps, max_c, status, tail_sign_index)``, from the worker that
@@ -51,7 +50,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import CorruptCheckpoint, IoError
-from .gapfast import GapTrace, _exact_prefix, gap_sequence_fast
+from .gapfast import GapTrace, _kernel, gap_sequence_fast
 
 __all__ = [
     "ScanSummary",
@@ -122,34 +121,25 @@ def _format_rows(rows: list[tuple]) -> bytes:
 def _scan_q(q: int, n_max: int) -> list[tuple]:
     """Rows of one q group: the unit of work of a scan.
 
-    A row comes straight from the exact prefix.  A pair whose d_n passes
-    2**EXACT_BITS before it finishes is traced in full instead, and so is
-    the group's deepest row (most steps, smallest p among equals), which
-    must equal the row the prefix gave it.
+    Every row comes from one ``_kernel`` call.  The group's deepest row (most
+    steps, smallest p among equals) is recomputed from its full trace and
+    must equal the row the kernel gave it.
     """
-    prefix = _exact_prefix
+    kernel = _kernel
     rows = []
     for p in coprime_numerators(q):
-        n, n0, _, _, max_c, last_neg = prefix(p, q, n_max)
-        if n0 is None and n < n_max:  # d_n passed the bound first
-            rows.append(_traced_row(p, q, n_max))
-        else:
-            rows.append((p, q, n0, n, max_c, "MAXITER" if n0 is None else "ZERO",
-                         None if last_neg == n else last_neg + 1))
+        n, n0, max_c, last_neg = kernel(p, q, n_max)
+        rows.append((p, q, n0, n, max_c, "MAXITER" if n0 is None else "ZERO",
+                     None if last_neg == n else last_neg + 1))
     deepest = max(rows, key=itemgetter(3))
-    if _traced_row(deepest[0], q, n_max) != deepest:
-        raise AssertionError(
-            f"scan row of {deepest[0]}/{q} differs from its trace under n_max={n_max}")
-    return rows
-
-
-def _traced_row(p: int, q: int, n_max: int) -> tuple:
-    """The row of p/q from its full ``GapTrace``."""
-    # both looked up as module globals on every call: the benchmark tracer
-    # wraps gap_sequence_fast and diagnose_tail
+    p = deepest[0]
+    # both looked up as module globals: the benchmark tracer wraps them
     trace = gap_sequence_fast(p, q, n_max)
-    return (p, q, trace.n0, trace.steps, max(trace.c),
-            "ZERO" if trace.terminated else "MAXITER", diagnose_tail(trace))
+    if deepest != (p, q, trace.n0, trace.steps, max(trace.c),
+                   "ZERO" if trace.terminated else "MAXITER", diagnose_tail(trace)):
+        raise AssertionError(
+            f"scan row of {p}/{q} differs from its trace under n_max={n_max}")
+    return rows
 
 
 def Pool(*args, **kwargs):

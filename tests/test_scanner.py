@@ -459,6 +459,15 @@ class TestRowsMatchNaiveOracle:
         scan_conjecture(1, 60, n_max, out)
         assert read_rows(out) == naive_lines(60, n_max)
 
+    @pytest.mark.parametrize("p, q", [(149, 278), (293, 417), (437, 556)])
+    def test_rows_deep_in_the_chain(self, tmp_path, p, q):
+        # n0 = 17, reached in the residue chain at the default EXACT_BITS,
+        # which must track max_c and the tail as the exact prefix does
+        out = tmp_path / "scan.csv"
+        scan_conjecture(q, q, 1000, out)
+        row = next(r for r in read_rows(out) if r.startswith(f"{p},"))
+        assert row == ",".join("" if v is None else str(v) for v in scan_row_naive(p, q, 1000))
+
 
 class TestCoprimeNumerators:
     def test_matches_gcd(self):
@@ -467,23 +476,24 @@ class TestCoprimeNumerators:
 
 
 class TestGroupSelfCheck:
-    # rows come from the shared exact prefix; each group's deepest row is
-    # recomputed from its full trace, so a prefix that reports a wrong field
-    # for that pair stops the scan before its group is written
-    @pytest.mark.parametrize("field", [4, 5], ids=["max_c", "tail"])
+    # every row comes from the shared kernel; each group's deepest row is
+    # recomputed from its full trace, so a kernel that reports a wrong
+    # max_c or last negative step for that pair stops the scan before its
+    # group is written
+    @pytest.mark.parametrize("field", [2, 3], ids=["max_c", "tail"])
     def test_wrong_deepest_row_is_caught(self, tmp_path, monkeypatch, field):
         q, n_max = 29, 1000
         steps = {p: gap_sequence_fast(p, q, n_max).steps for p in coprime_numerators(q)}
         deep = max(steps, key=steps.get)  # the first p with the most steps
-        real = scanner._exact_prefix
+        real = scanner._kernel
 
-        def wrong(c, d, *args):
-            got = real(c, d, *args)
-            if (c, d) != (deep, q):
+        def wrong(p, q_, *args):
+            got = real(p, q_, *args)
+            if (p, q_) != (deep, q):
                 return got
             return got[:field] + (got[field] + 1,) + got[field + 1:]
 
-        monkeypatch.setattr(scanner, "_exact_prefix", wrong)
+        monkeypatch.setattr(scanner, "_kernel", wrong)
         out = tmp_path / "scan.csv"
         with pytest.raises(AssertionError, match=f"row of {deep}/{q} differs"):
             scan_conjecture(1, 40, n_max, out)
