@@ -27,6 +27,7 @@ render values of any size without ``sys.set_int_max_str_digits(0)``.
 
 from __future__ import annotations
 
+import operator
 import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -243,6 +244,15 @@ def _exact(x) -> ExactValue:
     if isinstance(x, QuadraticValue):
         return x if x.b else x.a
     return Fraction(x)
+
+
+def _integer(name: str, x) -> int:
+    """The integer-argument rule of every entry point: ``operator.index(x)``,
+    or a TypeError that names the argument."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {x!r}") from None
 
 
 def sign_of(x) -> int:

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MissingDependency
+from .exactnum import _integer
 
 try:
     import numpy as np
@@ -37,13 +38,16 @@ GENERATOR_ID = "splitmix64-mix-v1"
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _U64_MASK = (1 << 64) - 1
 _TRIAL_CAP = 1 << 32
 _STEP_CAP = 1 << 32
-# steps drawn at a time, and samples per slab of rows within such a block
-# (2 MiB per float64 array); both read at call time
+# steps drawn at a time, and samples per slab of rows within such a block:
+# 64 rows of 512 steps, 256 KiB per float64 array, so that a slab's arrays
+# stay in a core's L2 cache (the fastest of 2^12..2^16 on a 2-core Xeon with
+# 2 MiB of L2 per core); both read at call time
 _BLOCK_STEPS = 512
-_SLAB_SAMPLES = 1 << 18
+_SLAB_SAMPLES = 1 << 15
 
 __all__ = ["GENERATOR_ID", "WalkStats", "analytic_drift", "run_walks"]
 
@@ -76,38 +80,57 @@ def analytic_drift() -> tuple[str, float]:
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
-    x = x + _GAMMA
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+    """The SplitMix64 finalizer of a uint64 array, computed in place.
+
+    Consumes ``x``: the caller creates and owns it, and ``x`` itself is
+    returned holding the result.
+    """
+    x += _GAMMA
+    x ^= x >> _SHIFT1
+    x *= _MIX1
+    x ^= x >> _SHIFT2
+    x *= _MIX2
+    x ^= x >> _SHIFT3
+    return x
 
 
 def _uniform_block(seed: np.uint64, trials: np.ndarray, step_lo: int, n_steps: int) -> np.ndarray:
-    """Uniform [0,1) samples for each (trial, step) pair; shape (len(trials), n_steps)."""
-    counters = (trials[:, None] << np.uint64(32)) | (
+    """Uniform [0,1) samples for each (trial, step) pair; shape (len(trials), n_steps).
+
+    ``trials`` is only read; the counters are a new array that the
+    generator then works on in place.
+    """
+    bits = (trials[:, None] << np.uint64(32)) | (
         np.uint64(step_lo) + np.arange(n_steps, dtype=np.uint64)[None, :]
     )
-    bits = _finalize(_finalize(counters) ^ seed)
-    return bits.astype(np.float64) * 2.0**-64
+    _finalize(bits)
+    bits ^= seed
+    u = _finalize(bits).astype(np.float64)
+    u *= 2.0**-64
+    return u
 
 
 def run_walks(c0: float, steps: int, trials: int, seed: int) -> tuple[WalkStats, np.ndarray]:
     """Deterministic Monte-Carlo run of the multiplicative walk model.
 
     Returns the summary statistics and the per-trial hitting steps (-1 = no
-    hit).  The result is a pure function of ``(c0, steps, trials, seed)``.
-    Steps are drawn a block of 512 at a time; another block size would
-    change no drawn sample and no hitting step, but it would regroup the
-    float sums, so ``mean_log_t`` and ``stderr_log_t`` could differ in the
-    last ulp.
+    hit).  The result is a pure function of ``(c0, steps, trials, seed)``;
+    ``steps``, ``trials`` and ``seed`` must be integers (a TypeError names
+    the one that is not).  Steps are drawn a block of 512 at a time;
+    another block size would change no drawn sample and no hitting step,
+    but it would regroup the float sums, so ``mean_log_t`` and
+    ``stderr_log_t`` could differ in the last ulp.
 
     Memory: each block is drawn, accumulated and tested a slab of rows at a
-    time (about 2^18 samples, 2 MiB per float64 array), and the steps
-    actually taken are packed in row order into one buffer of at most
-    ``trials * 512`` floats.  The peak is that buffer plus a few slabs.
-    The packed steps are exactly those of the whole block in the same
-    order, so the slabs change no float.
+    time (about 2^15 samples, 256 KiB per float64 array, small enough to
+    stay in cache), and the generator and the logarithm work in place on
+    the slab's own arrays.  The steps actually taken are packed in row
+    order into one buffer of at most ``trials * 512`` floats, which every
+    block reuses; the peak is that buffer plus a few slabs.  The packed steps are exactly those of
+    the whole block in the same order, so the slabs change no float.
     """
+    steps, trials = _integer("steps", steps), _integer("trials", trials)
+    seed = _integer("seed", seed)
     if not math.isfinite(c0):
         raise ValueError(f"c0 must be finite, got {c0}")
     if c0 < 1:
@@ -126,21 +149,26 @@ def run_walks(c0: float, steps: int, trials: int, seed: int) -> tuple[WalkStats,
     sum_lt = 0.0
     sum_lt2 = 0.0
     n_lt = 0
+    # the steps taken in a block, in row order; one buffer for every block,
+    # since no later block takes more steps than the first, so the pages the
+    # first block wrote are reused and the untouched tail is never resident
+    taken = np.empty(active.size * min(block, steps), dtype=np.float64)
 
     for lo in range(0, steps, block):
         if active.size == 0:
             break
         width = min(block, steps - lo)
         rows = max(1, _SLAB_SAMPLES // width)
+        cols = np.arange(width)[None, :]
         hit_any = np.empty(active.size, dtype=bool)
         first = np.empty(active.size, dtype=np.int64)  # valid only where hit_any
         last = np.empty(active.size, dtype=np.float64)
-        # steps taken, in row order; the untouched tail is never written
-        taken = np.empty(active.size * width, dtype=np.float64)
         n = 0
         for r in range(0, active.size, rows):
             ids = active[r:r + rows]
-            lt = np.log(0.5 + _uniform_block(seed_u, ids, lo, width))
+            lt = _uniform_block(seed_u, ids, lo, width)
+            lt += 0.5
+            np.log(lt, out=lt)
             # ufunc methods, not np.cumsum or ndarray.any/.sum: same values,
             # but those wrappers allocate on first use, and whether that
             # memory is freed again varies from process to process, so a
@@ -151,7 +179,7 @@ def run_walks(c0: float, steps: int, trials: int, seed: int) -> tuple[WalkStats,
             slab_hit = np.logical_or.reduce(below, axis=1)
             slab_first = np.argmax(below, axis=1)
             consumed = np.where(slab_hit, slab_first + 1, width)
-            used = np.arange(width)[None, :] < consumed[:, None]
+            used = cols < consumed[:, None]
             k = int(np.add.reduce(consumed))
             taken[n:n + k] = lt[used]
             n += k

@@ -50,6 +50,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import CorruptCheckpoint, IoError
+from .exactnum import _integer
 from .gapfast import GapTrace, _kernel, gap_sequence_fast
 
 __all__ = [
@@ -259,6 +260,8 @@ def scan_conjecture(
     """Scan all reduced p/q with q_min <= q <= q_max; write CSV, return summary.
 
     ``n_max`` is the iteration budget per pair and must be at least 1.
+    ``q_min``, ``q_max``, ``n_max`` and ``jobs`` must be integers; a
+    TypeError names the one that is not.
     ``jobs`` worker processes share the work; more than ``os.cpu_count()`` is
     rejected.  Every argument is checked before the output is touched or a
     worker starts.  The output is opened once: with ``resume`` an existing
@@ -271,6 +274,8 @@ def scan_conjecture(
     ``rows`` a list of ``(p, q, n0, steps, max_c, status, tail_sign_index)``
     tuples in CSV column order.
     """
+    q_min, q_max = _integer("q_min", q_min), _integer("q_max", q_max)
+    n_max, jobs = _integer("n_max", n_max), _integer("jobs", jobs)
     if q_min < 1 or q_max < q_min:
         raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}..{q_max}")
     if n_max < 1:

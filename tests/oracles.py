@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: square roots come from
 integer-square-root interval bounds, Fibonacci from plain addition,
 integrals from Simpson quadrature, uniformity from a hand-rolled
-Kolmogorov-Smirnov statistic, random walks from one array per whole
-block of steps, and scan rows from exact (naive) gap steps.
+Kolmogorov-Smirnov statistic, random walks from a SplitMix64 of their own
+and one array per whole block of steps, and scan rows from exact (naive)
+gap steps.
 """
 
 from fractions import Fraction
@@ -67,19 +68,48 @@ def ks_statistic_uniform(samples, lo: float, hi: float) -> float:
     return d
 
 
-def run_walks_whole_block(c0: float, steps: int, trials: int, seed: int, block: int = 512):
-    """The random walk with every block held as ``trials x block`` arrays.
+def splitmix64_finalizer(z):
+    """The SplitMix64 output function of a uint64 array, out of place.
 
-    Same samples (the walk's own generator) and the same sums as
-    ``randwalk.run_walks``, without its slabs of rows: the taken steps of a
-    block are summed as one ``lt[used]``, so every float must match bit for
-    bit.  Returns ``(WalkStats, hit_step)``.
+    Adds the golden gamma and mixes, so ``z = 0`` gives the first output of
+    SplitMix64 seeded with 0.  Every operation makes a new array.
     """
     import numpy as np
 
-    from egyptfrac.randwalk import WalkStats, _uniform_block
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    seed_u = np.uint64(seed % 2**64)
+
+def splitmix64_uniform(seed: int, trials, step_lo: int, n_steps: int):
+    """The walk's uniform samples, shape ``(len(trials), n_steps)``.
+
+    ``u = fin(fin((trial << 32) | step) ^ seed) / 2^64`` as the randwalk
+    module docstring states it, from :func:`splitmix64_finalizer` alone.
+    """
+    import numpy as np
+
+    trials = np.asarray(trials, dtype=np.uint64)
+    steps = np.uint64(step_lo) + np.arange(n_steps, dtype=np.uint64)
+    counters = (trials[:, None] << np.uint64(32)) | steps[None, :]
+    bits = splitmix64_finalizer(splitmix64_finalizer(counters) ^ np.uint64(seed % 2**64))
+    return bits.astype(np.float64) * 2.0**-64
+
+
+def run_walks_whole_block(c0: float, steps: int, trials: int, seed: int, block: int = 512):
+    """The random walk with every block held as ``trials x block`` arrays.
+
+    The same samples (from :func:`splitmix64_uniform`, not the walk's own
+    generator) and the same sums as ``randwalk.run_walks``, without its
+    slabs of rows: the taken steps of a block are summed as one
+    ``lt[used]``, so every float must match bit for bit.  Returns
+    ``(WalkStats, hit_step)``.
+    """
+    import numpy as np
+
+    from egyptfrac.randwalk import WalkStats
+
     hit_step = np.full(trials, 0 if c0 == 1 else -1, dtype=np.int64)
     active = np.arange(0 if c0 == 1 else trials, dtype=np.uint64)
     log_c = np.full(trials, log(c0), dtype=np.float64)
@@ -89,7 +119,7 @@ def run_walks_whole_block(c0: float, steps: int, trials: int, seed: int, block: 
         if active.size == 0:
             break
         width = min(block, steps - lo)
-        lt = np.log(0.5 + _uniform_block(seed_u, active, lo, width))
+        lt = np.log(0.5 + splitmix64_uniform(seed, active, lo, width))
         path = log_c[active][:, None] + np.cumsum(lt, axis=1)
         below = path <= 0.0
         hit_any = below.any(axis=1)

@@ -12,7 +12,13 @@ import pytest
 from egyptfrac import randwalk
 from egyptfrac.randwalk import GENERATOR_ID, analytic_drift, run_walks
 
-from oracles import ks_statistic_uniform, run_walks_whole_block, simpson
+from oracles import (
+    ks_statistic_uniform,
+    run_walks_whole_block,
+    simpson,
+    splitmix64_finalizer,
+    splitmix64_uniform,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +81,19 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             run_walks(2.0, 10, 0, seed=1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("steps", 10.0), ("trials", 5.5), ("seed", 1.5), ("seed", "1")])
+    def test_non_integer_arguments_are_named(self, name, value):
+        args = dict(c0=10.0, steps=10, trials=10, seed=1)
+        args[name] = value
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            run_walks(**args)
+
+    def test_numpy_integers_are_integers(self):
+        a = run_walks(10.0, np.int64(20), np.int32(30), np.uint64(7))[0]
+        assert a == run_walks(10.0, 20, 30, 7)[0]
+        assert type(a.seed) is int
+
     def test_no_hits_when_cap_too_small(self):
         # c0 = 1e5 cannot reach 1 in 3 steps (t >= 1/2)
         stats = run_walks(1e5, 3, 100, seed=4)[0]
@@ -105,6 +124,29 @@ class TestDriftStatistics:
         d = ks_statistic_uniform(0.5 + u, 0.5, 1.5)
         # 1% critical value for the KS statistic at n = 1e5
         assert d < 1.6276 / math.sqrt(10**5)
+
+
+class TestGenerator:
+    """The in-place generator against the oracle's own out-of-place
+    SplitMix64."""
+
+    def test_oracle_is_splitmix64(self):
+        # the first output of SplitMix64 seeded with 0
+        assert splitmix64_finalizer(np.zeros(1, dtype=np.uint64))[0] == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("seed, trials, step_lo, n_steps", [
+        (0, [0, 1, 2], 0, 5),
+        (2**64 - 1, [7, 2**31, 2**32 - 1], 2**32 - 3, 3),  # up to step 2^32 - 1
+        (20260810, [2**31 - 1, 2**31, 2**31 + 1], 1000, 17),
+        (12345, [3], 2**32 - 1, 1),
+    ])
+    def test_uniform_block_matches_oracle(self, seed, trials, step_lo, n_steps):
+        ids = np.array(trials, dtype=np.uint64)
+        kept = ids.copy()
+        u = randwalk._uniform_block(np.uint64(seed), ids, step_lo, n_steps)
+        assert np.array_equal(ids, kept)  # the trials are only read
+        assert u.dtype == np.float64 and u.shape == (len(trials), n_steps)
+        assert np.array_equal(u, splitmix64_uniform(seed, trials, step_lo, n_steps))
 
 
 class TestHittingTimes:
@@ -146,6 +188,18 @@ class TestSlabs:
         assert np.array_equal(hits, want_hits)
         if c0 == 1.5:
             assert (hits == 1).any()
+
+    def test_shipped_slab_bit_identical_to_whole_block(self):
+        # the shipped slab size and block, with more trials than one slab
+        # holds, trials that hit in the first block, in the third and never
+        rows = randwalk._SLAB_SAMPLES // randwalk._BLOCK_STEPS
+        trials = 2 * rows + 5
+        stats, hits = run_walks(1e12, 1100, trials, 4)
+        want, want_hits = run_walks_whole_block(1e12, 1100, trials, 4)
+        assert randwalk._BLOCK_STEPS == 512
+        assert (hits == -1).any() and (hits > 1024).any() and (hits <= 512).any()
+        assert stats == want
+        assert np.array_equal(hits, want_hits)
 
     def test_traced_peak_repeats_across_processes(self):
         # a benchmark trace requires the tracemalloc peak of the first walk

@@ -258,6 +258,22 @@ class TestScanConjecture:
             scan_conjecture(1, 5, 0, out, jobs=jobs)
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize("name, value", [
+        ("q_min", 1.0), ("q_max", 5.0), ("n_max", 2.5), ("jobs", 1.5)])
+    def test_non_integer_argument_leaves_output_untouched(self, tmp_path, monkeypatch,
+                                                         name, value):
+        # a float would pass the range checks; it must be refused by name
+        # before the output is truncated or any worker process starts
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(scanner, "Pool", no_pool)
+        out = tmp_path / "scan.csv"
+        out.write_text("text that must survive\n")
+        args = dict(q_min=1, q_max=5, n_max=100, jobs=1, out_path=out)
+        args[name] = value
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            scan_conjecture(**args)
+        assert out.read_text() == "text that must survive\n"
+
     @pytest.mark.parametrize("case", sorted(NOT_A_PREFIX))
     def test_resume_requires_a_prefix_of_the_scan(self, tmp_path, case):
         fresh = tmp_path / "fresh.csv"
