@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import __version__, sequences
 from .errors import DepthExceeded, EgyptError, IoError
-from .exactnum import format_value, int_to_decimal_str, parse_value, to_decimal
+from .exactnum import _integer, format_value, int_to_decimal_str, parse_value, to_decimal
 from .expansion import (
     DEFAULT_DIGIT_CAP,
     ExpansionKind,
@@ -52,9 +52,7 @@ def _env_digit_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"{DIGIT_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{DIGIT_CAP_ENV} must be >= 1, got {cap}")
-    return cap
+    return _integer(DIGIT_CAP_ENV, cap, 1)
 
 
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
@@ -297,15 +295,14 @@ def _cmd_seq(args) -> int:
             _emit(args.format, list(est), [est])
         return 0
     # fib2 builds its terms one at a time: check the count here, once for both
-    if args.terms < 1:
-        raise ValueError(f"count must be >= 1, got {args.terms}")
+    terms = _integer("count", args.terms, 1)
     if args.seq_kind == "sylvester":
-        values = sylvester_terms(args.m, args.terms)
+        values = sylvester_terms(args.m, terms)
     else:  # fib2, one term at a time, so its cap is checked before the first
         cap = sequences.FIB2_DEPTH_CAP
-        if args.terms > cap:
-            raise DepthExceeded(f"n={args.terms} exceeds depth cap {cap}")
-        values = (fib_pow2(n) for n in range(1, args.terms + 1))
+        if terms > cap:
+            raise DepthExceeded(f"n={terms} exceeds depth cap {cap}")
+        values = (fib_pow2(n) for n in range(1, terms + 1))
     rows = [{"n": n, "value": int_to_decimal_str(v)} for n, v in enumerate(values, start=1)]
     _emit(args.format, ["n", "value"], rows)
     return 0

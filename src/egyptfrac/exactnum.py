@@ -246,13 +246,19 @@ def _exact(x) -> ExactValue:
     return Fraction(x)
 
 
-def _integer(name: str, x) -> int:
+def _integer(name: str, x, lo: int | None = None, hi: int | None = None) -> int:
     """The integer-argument rule of every entry point: ``operator.index(x)``,
-    or a TypeError that names the argument."""
+    or a TypeError that names the argument; then a ValueError that names it
+    unless ``lo <= x <= hi`` (a bound left as None is not checked)."""
     try:
-        return operator.index(x)
+        x = operator.index(x)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {x!r}") from None
+    if hi is not None and not lo <= x <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {x}")
+    if lo is not None and x < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {x}")
+    return x
 
 
 def sign_of(x) -> int:
@@ -364,8 +370,7 @@ def to_decimal(x, digits: int) -> str:
     +infinity, the package-wide convention).  Any other input goes through
     the exact-input rule first.
     """
-    if not 1 <= digits <= 10**6:
-        raise ValueError(f"digits must be in [1, 10^6], got {digits}")
+    digits = _integer("digits", digits, 1, 10**6)
     m = nearest_int(_exact(x) * 10**digits)
     q, r = divmod(abs(m), 10**digits)
     sign = "-" if m < 0 else ""

@@ -20,7 +20,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import NonPositiveInput, NotReduced, OddGreedyOnIrrational
-from .exactnum import QuadraticValue, _exact, ceil_value, decimal_digits, nearest_int, sign_of
+from .exactnum import QuadraticValue, _exact, _integer, ceil_value, decimal_digits, nearest_int, sign_of
 
 DEFAULT_DIGIT_CAP = 10**4
 NAIVE_DIGIT_LIMIT = 10**5
@@ -95,10 +95,8 @@ def expand(
     r = _exact(r)
     if not isinstance(kind, ExpansionKind):
         raise ValueError(f"unknown expansion kind {kind!r}")
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
-    if digit_cap < 1:
-        raise ValueError(f"digit_cap must be >= 1, got {digit_cap}")
+    max_terms = _integer("max_terms", max_terms, 1)
+    digit_cap = _integer("digit_cap", digit_cap, 1)
     if sign_of(r) <= 0:
         raise NonPositiveInput(f"expansion requires r > 0, got {r}")
 
@@ -172,12 +170,10 @@ def gap_sequence_naive(p: int, q: int, max_terms: int) -> list[GapStep]:
     and every emitted step is exact.  The input must already be in lowest
     terms.
     """
-    if p < 1 or q < 1:
-        raise ValueError(f"p and q must be >= 1, got p={p}, q={q}")
+    p, q = _integer("p", p, 1), _integer("q", q, 1)
     if gcd(p, q) != 1:
         raise NotReduced(f"{p}/{q} is not in lowest terms")
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+    max_terms = _integer("max_terms", max_terms, 1)
 
     out: list[GapStep] = []
     c, d = p, q

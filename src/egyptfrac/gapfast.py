@@ -51,6 +51,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import NotReduced
+from .exactnum import _integer
 from .expansion import gap_sequence_naive
 
 __all__ = [
@@ -172,14 +173,10 @@ def gap_sequence_fast(
     persist; the zeros are genuinely recomputed, not assumed.
     ``fully_modular`` skips the exact prefix (see the module docstring).
     """
-    if p < 1 or q < 1:
-        raise ValueError(f"p and q must be >= 1, got p={p}, q={q}")
+    p, q = _integer("p", p, 1), _integer("q", q, 1)
     if gcd(p, q) != 1:
         raise NotReduced(f"{p}/{q} is not in lowest terms")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if past_zero < 0:
-        raise ValueError(f"past_zero must be >= 0, got {past_zero}")
+    n_max, past_zero = _integer("n_max", n_max, 1), _integer("past_zero", past_zero, 0)
     cs, es = [p], []
     n, n0, _, _ = _kernel(p, q, n_max, past_zero, fully_modular, cs, es)
     return GapTrace(p, q, cs, es, n0 is not None, n0, n)
@@ -215,10 +212,7 @@ def verify_fast_vs_naive(q_max: int, prefix_cap: int) -> VerifyReport:
     fast trace against ``gap_sequence_naive`` on the first
     min(n0, prefix_cap) terms.  An empty mismatch list means agreement.
     """
-    if q_max < 1:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
-    if prefix_cap < 1:
-        raise ValueError(f"prefix_cap must be >= 1, got {prefix_cap}")
+    q_max, prefix_cap = _integer("q_max", q_max, 1), _integer("prefix_cap", prefix_cap, 1)
     report = VerifyReport(q_max=q_max, prefix_cap=prefix_cap)
     for q in range(1, q_max + 1):
         for p in range(1, q + 1):

@@ -21,6 +21,7 @@ xor-multiply rounds, final xor-shift).  This fixed algorithm is named by
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import MissingDependency
@@ -115,11 +116,12 @@ def run_walks(c0: float, steps: int, trials: int, seed: int) -> tuple[WalkStats,
 
     Returns the summary statistics and the per-trial hitting steps (-1 = no
     hit).  The result is a pure function of ``(c0, steps, trials, seed)``;
-    ``steps``, ``trials`` and ``seed`` must be integers (a TypeError names
-    the one that is not).  Steps are drawn a block of 512 at a time;
-    another block size would change no drawn sample and no hitting step,
-    but it would regroup the float sums, so ``mean_log_t`` and
-    ``stderr_log_t`` could differ in the last ulp.
+    ``c0`` must be a real number other than a bool, and ``steps``,
+    ``trials`` and ``seed`` integers (a TypeError names the one that is
+    not).  Steps are drawn a block of 512 at a time; another block size
+    would change no drawn sample and no hitting step, but it would regroup
+    the float sums, so ``mean_log_t`` and ``stderr_log_t`` could differ in
+    the last ulp.
 
     Memory: each block is drawn, accumulated and tested a slab of rows at a
     time (about 2^15 samples, 256 KiB per float64 array, small enough to
@@ -129,16 +131,16 @@ def run_walks(c0: float, steps: int, trials: int, seed: int) -> tuple[WalkStats,
     block reuses; the peak is that buffer plus a few slabs.  The packed steps are exactly those of
     the whole block in the same order, so the slabs change no float.
     """
-    steps, trials = _integer("steps", steps), _integer("trials", trials)
-    seed = _integer("seed", seed)
+    if isinstance(c0, bool) or not isinstance(c0, numbers.Real):
+        raise TypeError(f"c0 must be a real number, got {c0!r}")
+    c0 = float(c0)
     if not math.isfinite(c0):
         raise ValueError(f"c0 must be finite, got {c0}")
     if c0 < 1:
         raise ValueError(f"c0 must be >= 1, got {c0}")
-    if not 1 <= trials < _TRIAL_CAP:
-        raise ValueError(f"trials must be in [1, 2^32), got {trials}")
-    if not 1 <= steps < _STEP_CAP:
-        raise ValueError(f"steps must be in [1, 2^32), got {steps}")
+    steps = _integer("steps", steps, 1, _STEP_CAP - 1)
+    trials = _integer("trials", trials, 1, _TRIAL_CAP - 1)
+    seed = _integer("seed", seed)
     seed_u = np.uint64(seed & _U64_MASK)
     block = _BLOCK_STEPS
 

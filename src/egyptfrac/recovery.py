@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NegativeBeta, NonPositiveInput, RecoveryBreakdown, SumExceeds
-from .exactnum import QuadraticValue, _exact, nearest_int, sign_of
+from .exactnum import QuadraticValue, _exact, _integer, nearest_int, sign_of
 
 __all__ = [
     "RecoveryRecord",
@@ -82,8 +82,7 @@ def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
     drops below 1 or a remainder stops being positive.
     """
     r, beta = _exact(r), _exact(beta)
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    n_terms = _integer("n_terms", n_terms, 1)
     if sign_of(r) <= 0:
         raise NonPositiveInput(f"recovery requires r > 0, got {r}")
     thr = threshold(beta)

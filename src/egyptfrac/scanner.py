@@ -274,15 +274,9 @@ def scan_conjecture(
     ``rows`` a list of ``(p, q, n0, steps, max_c, status, tail_sign_index)``
     tuples in CSV column order.
     """
-    q_min, q_max = _integer("q_min", q_min), _integer("q_max", q_max)
-    n_max, jobs = _integer("n_max", n_max), _integer("jobs", jobs)
-    if q_min < 1 or q_max < q_min:
-        raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}..{q_max}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    cores = os.cpu_count() or 1
-    if not 1 <= jobs <= cores:
-        raise ValueError(f"jobs must be in [1, {cores}] (the CPU count), got {jobs}")
+    q_min = _integer("q_min", q_min, 1)
+    q_max, n_max = _integer("q_max", q_max, q_min), _integer("n_max", n_max, 1)
+    jobs = _integer("jobs", jobs, 1, os.cpu_count() or 1)
     out_path = Path(out_path)
     started = time.perf_counter()
 

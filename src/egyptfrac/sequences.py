@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DepthExceeded
+from .exactnum import _integer
 
 SYLVESTER_DEPTH_CAP = 24
 FIB2_DEPTH_CAP = 24
@@ -30,17 +31,15 @@ __all__ = [
 
 def sylvester(m: int, n: int) -> int:
     """n-th generalized Sylvester number s_n(m)."""
-    return sylvester_terms(m, n)[-1]
+    return sylvester_terms(m, _integer("n", n, 1))[-1]
 
 
 def sylvester_terms(m: int, count: int) -> list[int]:
     """First ``count`` terms s_1(m) .. s_count(m), by direct recurrence."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = _integer("count", count, 1)
     if count > SYLVESTER_DEPTH_CAP:
         raise DepthExceeded(f"count={count} exceeds depth cap {SYLVESTER_DEPTH_CAP}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _integer("m", m, 1)
     out = [m + 1]
     for _ in range(count - 1):
         s = out[-1]
@@ -50,8 +49,7 @@ def sylvester_terms(m: int, count: int) -> list[int]:
 
 def fib(n: int) -> int:
     """F_n by fast doubling: F_2k = F_k(2F_{k+1}-F_k), F_{2k+1} = F_k^2+F_{k+1}^2."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _integer("n", n, 0)
     a, b = 0, 1  # F_0, F_1
     for i in range(n.bit_length() - 1, -1, -1):
         c = a * (2 * b - a)
@@ -65,8 +63,7 @@ def fib(n: int) -> int:
 
 def fib_pow2(n: int) -> int:
     """F_{2^n}, the n-th term of the Millin-series denominators."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _integer("n", n, 1)
     if n > FIB2_DEPTH_CAP:
         raise DepthExceeded(f"n={n} exceeds depth cap {FIB2_DEPTH_CAP}")
     return fib(1 << n)
@@ -102,8 +99,10 @@ def _log_bigint(n: int) -> float:
 
 def growth_constant(m: int, depth: int) -> GrowthEstimate:
     """Growth-constant estimate c_hat = s_depth(m)^(2^-depth) with error bound."""
+    depth = _integer("depth", depth)
     if not 4 <= depth <= 16:
         raise DepthExceeded(f"depth must be in [4, 16], got {depth}")
+    m = _integer("m", m, 1)
     s = sylvester(m, depth)
     ln_s = _log_bigint(s)
     c_hat = math.exp(ln_s / 2.0**depth)
