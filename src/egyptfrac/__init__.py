@@ -8,137 +8,113 @@ exponential sequences (Sylvester, Millin) from their reciprocal sums, an
 exhaustive zero-gap scanner, and the multiplicative random-walk heuristic
 for the bookkeeping numerators.
 
+One rule decides what loads: a submodule is imported when one of its names
+is first used.  ``import egyptfrac`` loads no submodule, and each command of
+:mod:`egyptfrac.cli` loads only the modules it runs (``seq`` loads
+:mod:`~egyptfrac.sequences` and :mod:`~egyptfrac.exactnum`, for example).
+
 Everything but the random walk uses the standard library alone.  The walk
 (:mod:`egyptfrac.randwalk`) needs numpy, installed with
-``pip install 'egyptfrac[walk]'``; it is imported only when one of its names
-is first used, so importing the package never loads numpy.
+``pip install 'egyptfrac[walk]'``.  Its names stay out of ``__all__``, so
+neither importing the package nor a star-import loads numpy.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CorruptCheckpoint,
-    DepthExceeded,
-    EgyptError,
-    IoError,
-    MissingDependency,
-    NegativeBeta,
-    NonPositiveInput,
-    NotReduced,
-    OddGreedyOnIrrational,
-    RadicandMismatch,
-    RecoveryBreakdown,
-    SumExceeds,
-)
-from .exactnum import (
-    QuadraticValue,
-    ceil_value,
-    floor_value,
-    format_value,
-    nearest_int,
-    parse_value,
-    sign_of,
-    to_decimal,
-)
-from .sequences import (
-    GrowthEstimate,
-    fib,
-    fib_pow2,
-    growth_constant,
-    sylvester,
-    sylvester_terms,
-)
-from .expansion import (
-    Expansion,
-    ExpansionKind,
-    ExpansionRecord,
-    ExpansionStatus,
-    GapStep,
-    expand,
-    gap_sequence_naive,
-)
-from .gapfast import GapTrace, VerifyReport, gap_sequence_fast, verify_fast_vs_naive
-from .recovery import (
-    CharacterizationCheck,
-    RecoveryRecord,
-    recover_sequence,
-    threshold,
-    verify_characterization,
-)
-from .scanner import (
-    ScanSummary,
-    diagnose_tail,
-    scan_conjecture,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    # errors
-    "EgyptError",
-    "RadicandMismatch",
-    "DepthExceeded",
-    "NonPositiveInput",
-    "OddGreedyOnIrrational",
-    "NotReduced",
-    "NegativeBeta",
-    "SumExceeds",
-    "RecoveryBreakdown",
-    "CorruptCheckpoint",
-    "IoError",
-    "MissingDependency",
-    # exact numbers
-    "QuadraticValue",
-    "nearest_int",
-    "floor_value",
-    "ceil_value",
-    "sign_of",
-    "to_decimal",
-    "parse_value",
-    "format_value",
-    # sequences
-    "sylvester",
-    "sylvester_terms",
-    "fib",
-    "fib_pow2",
-    "GrowthEstimate",
-    "growth_constant",
-    # expansions
-    "ExpansionKind",
-    "ExpansionStatus",
-    "ExpansionRecord",
-    "Expansion",
-    "expand",
-    "GapStep",
-    "gap_sequence_naive",
-    # fast gaps
-    "GapTrace",
-    "gap_sequence_fast",
-    "VerifyReport",
-    "verify_fast_vs_naive",
-    # recovery
-    "RecoveryRecord",
-    "CharacterizationCheck",
-    "threshold",
-    "recover_sequence",
-    "verify_characterization",
-    # scanner
-    "ScanSummary",
-    "scan_conjecture",
-    "diagnose_tail",
+# The module that defines each public name.  A module loads when one of its
+# names is first used, so importing the package loads none of them.
+_NAMES = {
+    "errors": (
+        "EgyptError",
+        "RadicandMismatch",
+        "DepthExceeded",
+        "NonPositiveInput",
+        "OddGreedyOnIrrational",
+        "NotReduced",
+        "NegativeBeta",
+        "SumExceeds",
+        "RecoveryBreakdown",
+        "CorruptCheckpoint",
+        "IoError",
+        "MissingDependency",
+    ),
+    "exactnum": (
+        "QuadraticValue",
+        "nearest_int",
+        "floor_value",
+        "ceil_value",
+        "sign_of",
+        "to_decimal",
+        "parse_value",
+        "format_value",
+    ),
+    "sequences": (
+        "sylvester",
+        "sylvester_terms",
+        "fib",
+        "fib_pow2",
+        "GrowthEstimate",
+        "growth_constant",
+    ),
+    "expansion": (
+        "ExpansionKind",
+        "ExpansionStatus",
+        "ExpansionRecord",
+        "Expansion",
+        "expand",
+        "GapStep",
+        "gap_sequence_naive",
+    ),
+    "gapfast": (
+        "GapTrace",
+        "gap_sequence_fast",
+        "VerifyReport",
+        "verify_fast_vs_naive",
+    ),
+    "recovery": (
+        "RecoveryRecord",
+        "CharacterizationCheck",
+        "threshold",
+        "recover_sequence",
+        "verify_characterization",
+    ),
+    "scanner": (
+        "ScanSummary",
+        "scan_conjecture",
+        "diagnose_tail",
+    ),
+    # randwalk imports numpy: its names stay out of __all__, so a star-import
+    # never loads numpy
+    "randwalk": (
+        "GENERATOR_ID",
+        "WalkStats",
+        "analytic_drift",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = ["__version__"] + [
+    name for module, names in _NAMES.items() if module != "randwalk" for name in names
 ]
-
-# Resolved on first use, because randwalk imports numpy.  They stay out of
-# __all__, so a star-import never loads numpy.
-_WALK_NAMES = ("GENERATOR_ID", "WalkStats", "analytic_drift")
 
 
 def __getattr__(name):
-    if name in _WALK_NAMES:
-        try:
-            from . import randwalk
-        except MissingDependency as exc:
-            # an AttributeError, so hasattr() answers False without numpy
-            raise AttributeError(f"module {__name__!r} attribute {name!r} "
-                                 f"needs numpy: {exc}") from exc
-        return getattr(randwalk, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .errors import MissingDependency
+
+    try:
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    except MissingDependency as exc:
+        # an AttributeError, so hasattr() answers False without numpy
+        raise AttributeError(f"module {__name__!r} attribute {name!r} "
+                             f"needs numpy: {exc}") from exc
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

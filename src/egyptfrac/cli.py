@@ -8,43 +8,70 @@ as do ``seq growth`` and ``gaps --method both`` (one row) for json and csv;
 other single-object outputs are printed directly.
 Exit codes: 0 success, 1 domain error (message names the error), 2 usage
 error.
+
+Each command imports the modules it runs when it is dispatched; building the
+parser and ``--version`` load only this module and :mod:`egyptfrac.errors`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from collections.abc import Iterable
-from fractions import Fraction
 
-from . import __version__, sequences
+from . import __version__
 from .errors import DepthExceeded, EgyptError, IoError
-from .exactnum import _integer, format_value, int_to_decimal_str, parse_value, to_decimal
-from .expansion import (
-    DEFAULT_DIGIT_CAP,
-    ExpansionKind,
-    ExpansionStatus,
-    expand,
-    gap_sequence_naive,
-)
-from .gapfast import compare_fast_naive, gap_sequence_fast
-from .recovery import recover_sequence
-from .scanner import scan_conjecture
-from .sequences import fib_pow2, growth_constant, sylvester_terms
 
-_KINDS = {
-    "greedy": ExpansionKind.GREEDY,
-    "odd": ExpansionKind.ODD_GREEDY,
-    "pseudo": ExpansionKind.PSEUDO_GREEDY,
-}
+
+class _Lazy:
+    """A function of another egyptfrac module, imported on its first call, so
+    that each command loads only the modules it runs.
+
+    It is a module attribute, so a caller can replace it here (the benchmark's
+    tracer wraps it).  ``__wrapped__`` is the real function, which
+    ``inspect.signature`` follows, and ``__name__`` its name, which argparse
+    prints when a ``type=`` conversion fails.
+    """
+
+    def __init__(self, module: str, name: str):
+        self._module = module
+        self.__name__ = name
+        self._fn = None
+
+    @property
+    def __wrapped__(self):
+        if self._fn is None:
+            module = f"{__package__}.{self._module}"
+            __import__(module)
+            self._fn = getattr(sys.modules[module], self.__name__)
+        return self._fn
+
+    def __call__(self, *args, **kwargs):
+        return self.__wrapped__(*args, **kwargs)
+
+
+scan_conjecture = _Lazy("scanner", "scan_conjecture")
+gap_sequence_fast = _Lazy("gapfast", "gap_sequence_fast")
+gap_sequence_naive = _Lazy("expansion", "gap_sequence_naive")
+expand = _Lazy("expansion", "expand")
+recover_sequence = _Lazy("recovery", "recover_sequence")
+run_walks = _Lazy("randwalk", "run_walks")  # raises MissingDependency without numpy
+fib_pow2 = _Lazy("sequences", "fib_pow2")
+format_value = _Lazy("exactnum", "format_value")
+int_to_decimal_str = _Lazy("exactnum", "int_to_decimal_str")
+parse_value = _Lazy("exactnum", "parse_value")
+
+# ExpansionKind member names: the enum loads with expansion, on dispatch
+_KINDS = {"greedy": "GREEDY", "odd": "ODD_GREEDY", "pseudo": "PSEUDO_GREEDY"}
 
 DIGIT_CAP_ENV = "EGYPT_DIGIT_CAP"
 
 
 def _env_digit_cap() -> int:
+    from .exactnum import _integer
+    from .expansion import DEFAULT_DIGIT_CAP
+
     raw = os.environ.get(DIGIT_CAP_ENV)
     if raw is None:
         return DEFAULT_DIGIT_CAP
@@ -76,7 +103,7 @@ def _csv_cell(value) -> str:
     return " ".join(map(str, value)) if isinstance(value, list) else _opt(value)
 
 
-def _emit(fmt: str, columns: list[str], rows: Iterable[dict], table=None) -> None:
+def _emit(fmt: str, columns: list[str], rows, table=None) -> None:
     """Write row dicts as JSON-lines, or their ``columns`` cells as CSV or a
     table.  ``table()`` returns (headers, cells) for a human view instead; it
     runs only for ``--format table``, and then ``rows`` is never iterated, so
@@ -96,6 +123,8 @@ def _emit(fmt: str, columns: list[str], rows: Iterable[dict], table=None) -> Non
 
 def _pretty(value) -> str:
     # tables show 4 rather than 4/1; machine formats keep canonical num/den
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         num = int_to_decimal_str(value.numerator)
         if value.denominator == 1:
@@ -120,10 +149,12 @@ def _expansion_row(rec) -> dict:
 
 
 def _cmd_expand(args) -> int:
+    from .expansion import ExpansionKind, ExpansionStatus
+
     digit_cap = args.digit_cap if args.digit_cap is not None else _env_digit_cap()
     result = expand(
         args.r,
-        _KINDS[args.kind],
+        ExpansionKind[_KINDS[args.kind]],
         args.terms,
         digit_cap=digit_cap,
         stop_at_first_zero=args.stop_at_zero,
@@ -155,17 +186,15 @@ def _cmd_expand(args) -> int:
 
 
 def _parse_pq(text: str) -> tuple[int, int]:
-    # raw p/q, deliberately NOT normalised: the trace contract rejects
-    # unreduced input rather than silently fixing it
-    parts = text.split("/")
-    try:
-        if len(parts) == 1:
-            return int(parts[0]), 1
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
-    except ValueError:
-        pass
-    raise ValueError(f"expected p/q, got {text!r}")
+    # the rational forms of parse_value, but raw p/q, deliberately NOT
+    # normalised: the trace contract rejects unreduced input rather than
+    # silently fixing it
+    from .exactnum import _rational_parts
+
+    parts = _rational_parts(text)
+    if parts is None:
+        raise ValueError(f"expected p/q, got {text!r}")
+    return parts
 
 
 def _trace_json(trace) -> str:
@@ -183,6 +212,10 @@ def _trace_json(trace) -> str:
 
 
 def _cmd_gaps(args) -> int:
+    from fractions import Fraction
+
+    from .gapfast import compare_fast_naive
+
     p, q = args.r
     if args.method in ("fast", "both"):
         fast = gap_sequence_fast(p, q, args.terms, fully_modular=True)
@@ -228,6 +261,8 @@ def _cmd_gaps(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    import dataclasses
+
     def progress(q, rows):
         for p, _, _, _, _, status, _ in rows:
             if status == "MAXITER":
@@ -257,6 +292,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from .exactnum import to_decimal
+
     records = recover_sequence(args.sum, args.beta, args.terms)
 
     def table():
@@ -284,8 +321,13 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    import dataclasses
+
+    from . import sequences
+    from .exactnum import _integer
+
     if args.seq_kind == "growth":
-        est = dataclasses.asdict(growth_constant(args.m, args.depth))
+        est = dataclasses.asdict(sequences.growth_constant(args.m, args.depth))
         if args.format == "table":
             print(
                 f"c_hat(m={est['m']}, depth={est['depth']}) = {est['c_hat']}"
@@ -297,7 +339,7 @@ def _cmd_seq(args) -> int:
     # fib2 builds its terms one at a time: check the count here, once for both
     terms = _integer("count", args.terms, 1)
     if args.seq_kind == "sylvester":
-        values = sylvester_terms(args.m, terms)
+        values = sequences.sylvester_terms(args.m, terms)
     else:  # fib2, one term at a time, so its cap is checked before the first
         cap = sequences.FIB2_DEPTH_CAP
         if terms > cap:
@@ -311,16 +353,9 @@ def _cmd_seq(args) -> int:
 # ------------------------------------------------------------------ walk --
 
 
-def run_walks(*args, **kwargs):
-    """:func:`egyptfrac.randwalk.run_walks`, imported on the first walk so
-    that no other command loads numpy; raises ``MissingDependency`` without
-    it."""
-    from .randwalk import run_walks
-
-    return run_walks(*args, **kwargs)
-
-
 def _cmd_walk(args) -> int:
+    import dataclasses
+
     stats, hit_steps = run_walks(args.c0, args.steps, args.trials, args.seed)
     if args.hits_out:
         try:
@@ -346,6 +381,16 @@ def _add_format(sub, default="table"):
     )
 
 
+class _ExpandHelp(argparse.HelpFormatter):
+    """Writes ``expansion.DEFAULT_DIGIT_CAP`` into ``expand --help`` when the
+    help is shown, so that building the parser does not import expansion."""
+
+    def _get_help_string(self, action):
+        from .expansion import DEFAULT_DIGIT_CAP
+
+        return action.help.replace("DEFAULT_DIGIT_CAP", str(DEFAULT_DIGIT_CAP))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egyptfrac",
@@ -354,13 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_expand = sub.add_parser("expand", help="unit-fraction expansion of an exact value")
+    p_expand = sub.add_parser("expand", help="unit-fraction expansion of an exact value",
+                              formatter_class=_ExpandHelp)
     p_expand.add_argument("--r", type=parse_value, required=True, metavar="VALUE",
                           help="exact value, e.g. 11/29 or '(5-1 sqrt 5)/2'")
     p_expand.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p_expand.add_argument("--terms", type=int, required=True, metavar="N")
     p_expand.add_argument("--digit-cap", type=int, default=None, metavar="K",
-                          help=f"omit d beyond K decimal digits (default {DEFAULT_DIGIT_CAP}, env {DIGIT_CAP_ENV})")
+                          help=f"omit d beyond K decimal digits (default DEFAULT_DIGIT_CAP, env {DIGIT_CAP_ENV})")
     stop = p_expand.add_mutually_exclusive_group()
     stop.add_argument("--continue-past-zero", action="store_true", dest="continue_past_zero",
                       help="keep expanding past the first zero gap (default behaviour)")

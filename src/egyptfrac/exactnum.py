@@ -384,21 +384,30 @@ _QUAD_RE = re.compile(
 )
 
 
+def _rational_parts(text: str) -> tuple[int, int] | None:
+    """``(p, q)`` of an ``INT`` or ``INT/POSINT`` text as written, not
+    reduced (``INT`` gives q = 1); None for any other text."""
+    m = _INT_RE.match(text)
+    if m:
+        return int(m.group(1)), 1
+    m = _FRAC_RE.match(text)
+    if m:
+        den = int(m.group(2))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return int(m.group(1)), den
+    return None
+
+
 def parse_value(text: str) -> ExactValue:
     """Parse the exact-value grammar used by the CLI.
 
     Accepted forms (whitespace optional): ``INT``, ``INT/POSINT``, and
     ``( INT (+|-) POSINT sqrt POSINT ) / POSINT``, e.g. ``(5-1 sqrt 5)/2``.
     """
-    m = _INT_RE.match(text)
-    if m:
-        return Fraction(int(m.group(1)))
-    m = _FRAC_RE.match(text)
-    if m:
-        den = int(m.group(2))
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(m.group(1)), den)
+    parts = _rational_parts(text)
+    if parts is not None:
+        return Fraction(*parts)
     m = _QUAD_RE.match(text)
     if m:
         a_num, sgn, b_num, rad, den = m.groups()

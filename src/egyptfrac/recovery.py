@@ -109,19 +109,30 @@ def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
     return records
 
 
+def _term(t) -> int:
+    """A sequence term by the integer-argument rule, as a plain int; a bool
+    is not a term."""
+    if not isinstance(t, bool):
+        try:
+            return _integer("term", t, 1)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError("sequence terms must be positive integers")
+
+
 def verify_characterization(a, r, beta) -> list[CharacterizationCheck]:
     """Check the recovery formula against a given sequence prefix.
 
     For each index reports the exact gap delta_n = 1/x_n + beta - a_n and,
     where a_n clears the threshold, whether the formula reproduces a_n.  The
     reciprocal sum of the given terms must stay strictly below r.  ``r``
-    and ``beta`` go through the exact-input rule of :mod:`egyptfrac.exactnum`.
+    and ``beta`` go through the exact-input rule of :mod:`egyptfrac.exactnum`;
+    each term is a positive integer by its integer-argument rule (numpy
+    integers included, bools not) and is reported as a plain ``int``.
     """
-    terms = list(a)
+    terms = [_term(t) for t in a]
     if not terms:
         raise ValueError("sequence must be nonempty")
-    if any(not isinstance(t, int) or isinstance(t, bool) or t < 1 for t in terms):
-        raise ValueError("sequence terms must be positive integers")
     r, beta = _exact(r), _exact(beta)
     thr = threshold(beta)
 

@@ -581,6 +581,50 @@ class TestUsageErrors:
             "--stop-at-zero", "--continue-past-zero",
         )[0] == 2
 
+    def test_type_error_names_the_parser(self, capsys):
+        # the parser's type= functions are imported on first call; argparse
+        # must still name the real function
+        code, out, err = run_cli(capsys, "expand", "--r", "x", "--kind", "pseudo", "--terms", "3")
+        assert code == 2 and out == ""
+        assert err.endswith("argument --r: invalid parse_value value: 'x'\n")
+
+    @pytest.mark.parametrize("text", ["1_1/29", "11/+29", "11/-29"])
+    @pytest.mark.parametrize("command", [
+        ["gaps", "--terms", "3", "--method", "fast"],
+        ["expand", "--kind", "pseudo", "--terms", "3"],
+    ], ids=["gaps", "expand"])
+    def test_one_rational_grammar(self, capsys, command, text):
+        # gaps --r takes exactly the INT and INT/POSINT forms of expand --r
+        code, out, err = run_cli(capsys, *command, "--r", text)
+        assert code == 2 and out == ""
+        assert "argument --r: invalid " in err and f"value: {text!r}" in err
+
+    def test_expand_help(self, capsys, monkeypatch):
+        # DEFAULT_DIGIT_CAP is written in when the help is shown
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_cli(capsys, "expand", "--help")
+        assert code == 0
+        assert out == lines(
+            "usage: egyptfrac expand [-h] --r VALUE --kind {greedy,odd,pseudo} --terms N",
+            "                        [--digit-cap K]",
+            "                        [--continue-past-zero | --stop-at-zero]",
+            "                        [--format {table,json,csv}]",
+            "",
+            "options:",
+            "  -h, --help            show this help message and exit",
+            "  --r VALUE             exact value, e.g. 11/29 or '(5-1 sqrt 5)/2'",
+            "  --kind {greedy,odd,pseudo}",
+            "  --terms N",
+            "  --digit-cap K         omit d beyond K decimal digits (default 10000, env",
+            "                        EGYPT_DIGIT_CAP)",
+            "  --continue-past-zero  keep expanding past the first zero gap (default",
+            "                        behaviour)",
+            "  --stop-at-zero        truncate a rational pseudo-greedy stream at the first",
+            "                        zero gap",
+            "  --format {table,json,csv}",
+            "                        output format (default: table)",
+        )
+
 
 class TestEntryPoints:
     # the subprocess imports the package from this checkout's src, installed or not

@@ -1,3 +1,4 @@
+import enum
 import random
 from fractions import Fraction
 
@@ -197,6 +198,19 @@ class TestVerifyCharacterization:
         checks = verify_characterization([2, 3], 1, 1)
         assert [c.a for c in checks] == [2, 3]
         assert all(type(c.a) is int for c in checks)
+
+    def test_index_terms_become_ints(self):
+        # any integer by operator.index (numpy.int64 too); stored as int
+        Term = enum.IntEnum("Term", {"TWO": 2, "THREE": 3})
+        checks = verify_characterization([Term.TWO, Term.THREE], 1, 1)
+        assert [c.a for c in checks] == [2, 3]
+        assert all(type(c.a) is int for c in checks)
+
+    @pytest.mark.parametrize("terms", [[2.0], [Fraction(2)], ["2"], [2, -3]],
+                             ids=["float", "fraction", "str", "negative"])
+    def test_non_integer_terms_rejected(self, terms):
+        with pytest.raises(ValueError, match="sequence terms must be positive integers"):
+            verify_characterization(terms, 2, 1)
 
 
 class TestMillinFirstThreeBound:

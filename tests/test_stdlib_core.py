@@ -12,6 +12,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -121,3 +123,87 @@ def test_star_import_leaves_numpy_unloaded(tmp_path):
     assert result["numpy_loaded"] is False
     assert result["walk_names"] == []
     assert result["resolved"] == ["WalkStats", "analytic_drift", "splitmix64-mix-v1"]
+
+
+def test_package_names_resolve_on_first_use(tmp_path):
+    result = run_python(tmp_path, """
+        import json, sys
+        import egyptfrac
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("egyptfrac."))
+
+        on_import = loaded()
+        names = egyptfrac.__all__
+        try:
+            egyptfrac.no_such_name
+            missing = None
+        except AttributeError as exc:
+            missing = str(exc)
+        not_in_dir = [name for name in names if name not in dir(egyptfrac)]
+        namespace = {}
+        exec("from egyptfrac import *", namespace)
+        unbound = [name for name in names if name not in namespace]
+        # every name is the object its module defines
+        wrong = [name for name in names[1:]
+                 if not namespace[name].__module__.startswith("egyptfrac.")
+                 or getattr(sys.modules[namespace[name].__module__], name)
+                 is not namespace[name]]
+        star_loaded, numpy_loaded = loaded(), "numpy" in sys.modules
+        walk = egyptfrac.WalkStats is sys.modules["egyptfrac.randwalk"].WalkStats
+        print(json.dumps({"on_import": on_import, "count": len(names),
+                          "missing": missing, "not_in_dir": not_in_dir,
+                          "unbound": unbound, "wrong": wrong,
+                          "star_loaded": star_loaded, "numpy_loaded": numpy_loaded,
+                          "walk": walk}))
+    """)
+    assert result["on_import"] == []
+    assert result["count"] == 46
+    assert result["missing"] == "module 'egyptfrac' has no attribute 'no_such_name'"
+    assert result["not_in_dir"] == []
+    assert result["unbound"] == []
+    assert result["wrong"] == []
+    # a star-import loads every module but randwalk, so numpy stays unloaded
+    assert result["star_loaded"] == [
+        "egyptfrac.errors", "egyptfrac.exactnum", "egyptfrac.expansion",
+        "egyptfrac.gapfast", "egyptfrac.recovery", "egyptfrac.scanner",
+        "egyptfrac.sequences",
+    ]
+    assert result["numpy_loaded"] is False
+    assert result["walk"] is True
+
+
+# the egyptfrac modules besides cli and errors that each entry point loads
+COMMAND_MODULES = {
+    "import": (None, []),
+    "version": (["--version"], []),
+    "scan": (["scan", "--qmin", "1", "--qmax", "12", "--maxiter", "100", "--out", "scan.csv"],
+             ["exactnum", "expansion", "gapfast", "scanner"]),
+    "expand": (["expand", "--r", "11/29", "--kind", "pseudo", "--terms", "6"],
+               ["exactnum", "expansion"]),
+    "recover": (["recover", "--sum", "(5-1 sqrt 5)/2", "--beta", "1/3", "--terms", "4"],
+                ["exactnum", "recovery"]),
+    "gaps": (["gaps", "--r", "11/29", "--terms", "10", "--method", "both"],
+             ["exactnum", "expansion", "gapfast"]),
+    "seq": (["seq", "sylvester", "--m", "1", "--terms", "5"], ["exactnum", "sequences"]),
+    "walk": (["walk", "--c0", "10", "--steps", "20", "--trials", "8", "--seed", "1"],
+             ["exactnum", "randwalk"]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(tmp_path, command):
+    argv, modules = COMMAND_MODULES[command]
+    result = run_python(tmp_path, f"""
+        import contextlib, io, json, sys
+        import egyptfrac.cli
+
+        code = None
+        if {argv!r} is not None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = egyptfrac.cli.main({argv!r})
+        print(json.dumps({{"code": code, "loaded": sorted(
+            m for m in sys.modules if m.startswith("egyptfrac."))}}))
+    """)
+    assert result["code"] == (None if argv is None else 0)
+    assert result["loaded"] == sorted(f"egyptfrac.{m}" for m in ["cli", "errors", *modules])
