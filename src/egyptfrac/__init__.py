@@ -70,8 +70,6 @@ _NAMES = {
     "gapfast": (
         "GapTrace",
         "gap_sequence_fast",
-        "VerifyReport",
-        "verify_fast_vs_naive",
     ),
     "recovery": (
         "RecoveryRecord",

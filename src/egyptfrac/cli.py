@@ -214,25 +214,30 @@ def _trace_json(trace) -> str:
 def _cmd_gaps(args) -> int:
     from fractions import Fraction
 
-    from .gapfast import compare_fast_naive
-
     p, q = args.r
-    if args.method in ("fast", "both"):
+    # one (c_n, e_n) list per method; a fast trace's c also holds c_{N+1},
+    # which zip drops
+    steps = {}
+    if args.method != "naive":
         fast = gap_sequence_fast(p, q, args.terms, fully_modular=True)
-    if args.method in ("naive", "both"):
-        naive = gap_sequence_naive(p, q, args.terms)
+        steps["fast"] = list(zip(fast.c, fast.e))
+    if args.method != "fast":
+        steps["naive"] = [(s.c, s.e) for s in gap_sequence_naive(p, q, args.terms)]
 
     if args.method == "both":
-        n_cmp, mismatches = compare_fast_naive(fast, naive)
+        # zip stops at the shorter list: the naive route may stop early, at
+        # its digit limit
+        pairs = list(zip(steps["fast"], steps["naive"]))
+        mismatches = [n for n, (f, s) in enumerate(pairs, start=1) if f != s]
         report = {
             "p": p,
             "q": q,
-            "compared_terms": n_cmp,
+            "compared_terms": len(pairs),
             "mismatch_indices": mismatches,
             "agree": not mismatches,
         }
         if args.format == "table":
-            print(f"compared {n_cmp} terms: " + ("agree" if not mismatches else f"MISMATCH at {mismatches}"))
+            print(f"compared {len(pairs)} terms: " + ("agree" if not mismatches else f"MISMATCH at {mismatches}"))
         else:
             _emit(args.format, list(report), [report])
         return 1 if mismatches else 0
@@ -240,13 +245,10 @@ def _cmd_gaps(args) -> int:
     if args.method == "fast" and args.format == "json":
         print(_trace_json(fast))
         return 0
-    # one row builder for both methods; a fast trace's c also holds c_{N+1},
-    # which zip drops
-    steps = zip(fast.c, fast.e) if args.method == "fast" else [(s.c, s.e) for s in naive]
     rows = [
         {"n": n, "c": int_to_decimal_str(c), "e": int_to_decimal_str(e),
          "eps": format_value(Fraction(e, c))}
-        for n, (c, e) in enumerate(steps, start=1)
+        for n, (c, e) in enumerate(steps[args.method], start=1)
     ]
     _emit(args.format, ["n", "c", "e", "eps"], rows)
     if args.method == "fast" and args.format == "table":

@@ -36,14 +36,15 @@ caller that passes lists to fill.
 
 Forced-modular switch: ``fully_modular=True`` gives the exact prefix a bound
 of 0, so the chain is seeded with d_1 = q at every outer step and d_n is never
-formed.  The cross-checks against exact arithmetic (``verify_fast_vs_naive``
-and the CLI's ``gaps``) use it, because short traces never leave the exact
-prefix: with the default they would compare exact arithmetic with itself.
+formed.  Its users are the places that compare this kernel with exact
+arithmetic (``expansion.gap_sequence_naive``): the CLI's ``gaps`` and the
+tests.  Short traces never leave the exact prefix, so with the default they
+would compare exact arithmetic with itself.  No comparison lives here: this
+module does not import the exact route it is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -52,12 +53,8 @@ from typing import NamedTuple
 
 from .errors import NotReduced
 from .exactnum import _integer
-from .expansion import gap_sequence_naive
 
-__all__ = [
-    "GapTrace", "gap_sequence_fast", "compare_fast_naive", "VerifyReport",
-    "verify_fast_vs_naive",
-]
+__all__ = ["GapTrace", "gap_sequence_fast"]
 
 # Largest bit length of d_n that the kernel keeps exact; read at call time.
 EXACT_BITS = 2048
@@ -180,51 +177,3 @@ def gap_sequence_fast(
     cs, es = [p], []
     n, n0, _, _ = _kernel(p, q, n_max, past_zero, fully_modular, cs, es)
     return GapTrace(p, q, cs, es, n0 is not None, n0, n)
-
-
-def compare_fast_naive(fast: GapTrace, naive: list) -> tuple[int, list[int]]:
-    """Compare (c_n, e_n) of a fast trace with ``gap_sequence_naive`` steps.
-
-    Returns the number of terms compared, min(fast.steps, len(naive)), and
-    the 1-based steps where the two differ; an empty list means agreement.
-    """
-    n_cmp = min(fast.steps, len(naive))
-    return n_cmp, [i + 1 for i in range(n_cmp)
-                   if fast.c[i] != naive[i].c or fast.e[i] != naive[i].e]
-
-
-@dataclass
-class VerifyReport:
-    q_max: int
-    prefix_cap: int
-    pairs_checked: int = 0
-    mismatches: list[tuple[int, int, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def verify_fast_vs_naive(q_max: int, prefix_cap: int) -> VerifyReport:
-    """Cross-validate the modular path against the exact-arithmetic oracle.
-
-    For every reduced p/q with p <= q <= q_max, compares (c_n, e_n) of the
-    fast trace against ``gap_sequence_naive`` on the first
-    min(n0, prefix_cap) terms.  An empty mismatch list means agreement.
-    """
-    q_max, prefix_cap = _integer("q_max", q_max, 1), _integer("prefix_cap", prefix_cap, 1)
-    report = VerifyReport(q_max=q_max, prefix_cap=prefix_cap)
-    for q in range(1, q_max + 1):
-        for p in range(1, q + 1):
-            if gcd(p, q) != 1:
-                continue
-            report.pairs_checked += 1
-            fast = gap_sequence_fast(p, q, prefix_cap, fully_modular=True)
-            naive = gap_sequence_naive(p, q, prefix_cap)
-            _, bad = compare_fast_naive(fast, naive)
-            if bad:
-                i = bad[0] - 1
-                detail = (f"step {i + 1}: fast (c={fast.c[i]}, e={fast.e[i]}) "
-                          f"!= naive (c={naive[i].c}, e={naive[i].e})")
-                report.mismatches.append((p, q, detail))
-    return report

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from egyptfrac import cli, exactnum, gapfast, sequences
+from egyptfrac import cli, exactnum, expansion, sequences
 from egyptfrac.cli import main
 
 
@@ -191,6 +191,33 @@ class TestGapsCommand:
         assert header == ["p", "q", "compared_terms", "mismatch_indices", "agree"]
         assert row[:2] == ["17", "23"] and row[3:] == ["", "True"]
 
+    def test_both_stops_at_the_naive_digit_limit(self, capsys):
+        # 185/358 reaches its zero gap at n = 20, two steps after d_n passes
+        # the naive route's 10^5 digits
+        code, out, _ = run_cli(
+            capsys, "gaps", "--r", "185/358", "--terms", "20", "--method", "both",
+        )
+        assert code == 0
+        assert out == "compared 18 terms: agree\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_both_compares_the_naive_length(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(expansion, "NAIVE_DIGIT_LIMIT", 30)
+        n = len(expansion.gap_sequence_naive(185, 358, 20))
+        assert 0 < n < 20
+        code, out, _ = run_cli(
+            capsys, "gaps", "--r", "185/358", "--terms", "20", "--method", "both",
+            "--format", fmt,
+        )
+        assert code == 0
+        if fmt == "table":
+            assert out == f"compared {n} terms: agree\n"
+        elif fmt == "json":
+            assert json.loads(out)["compared_terms"] == n
+        else:
+            header, row = csv.reader(io.StringIO(out))
+            assert row[header.index("compared_terms")] == str(n)
+
     def test_unreduced_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "gaps", "--r", "2/4", "--terms", "5", "--method", "fast",
@@ -219,9 +246,23 @@ def perturbed_naive(real, pair=(11, 29), step=3):
     return naive
 
 
+def perturbed_fast(real, pair=(11, 29), step=3):
+    """gap_sequence_fast with e_step of one pair off by one."""
+
+    def fast(p, q, *args, **kwargs):
+        trace = real(p, q, *args, **kwargs)
+        if (p, q) == pair:
+            e = list(trace.e)
+            e[step - 1] += 1
+            trace = trace._replace(e=e)
+        return trace
+
+    return fast
+
+
 class TestBothMismatch:
-    """An injected disagreement must surface in gaps --method both and in
-    verify_fast_vs_naive, which share one comparison."""
+    """An injected disagreement on either side must surface in gaps
+    --method both."""
 
     def test_json_report(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "gap_sequence_naive", perturbed_naive(cli.gap_sequence_naive))
@@ -256,15 +297,15 @@ class TestBothMismatch:
             ["11", "29", "5", "2 3", "False"],
         ]
 
-    def test_verify_message(self, monkeypatch):
-        monkeypatch.setattr(
-            gapfast, "gap_sequence_naive", perturbed_naive(gapfast.gap_sequence_naive)
+    @pytest.mark.parametrize("step", [1, 3, 5])
+    def test_fast_side(self, capsys, monkeypatch, step):
+        monkeypatch.setattr(cli, "gap_sequence_fast",
+                            perturbed_fast(cli.gap_sequence_fast, step=step))
+        code, out, _ = run_cli(
+            capsys, "gaps", "--r", "11/29", "--terms", "12", "--method", "both",
         )
-        report = gapfast.verify_fast_vs_naive(29, 8)
-        assert report.pairs_checked == 270 and not report.ok
-        assert report.mismatches == [
-            (11, 29, "step 3: fast (c=19, e=-1) != naive (c=19, e=0)")
-        ]
+        assert code == 1
+        assert out == f"compared 5 terms: MISMATCH at [{step}]\n"
 
 
 class TestRecoverCommand:

@@ -28,7 +28,6 @@ from egyptfrac import (
     sylvester,
     sylvester_terms,
     to_decimal,
-    verify_fast_vs_naive,
 )
 from egyptfrac.cli import main
 from egyptfrac.randwalk import run_walks
@@ -59,8 +58,6 @@ ENTRY_POINTS = {
     "gap_sequence_fast-q": ("q", 1, lambda v: gap_sequence_fast(11, v, 8)),
     "gap_sequence_fast-n_max": ("n_max", 1, lambda v: gap_sequence_fast(11, 29, v)),
     "gap_sequence_fast-past_zero": ("past_zero", 0, lambda v: gap_sequence_fast(11, 29, 50, v)),
-    "verify_fast_vs_naive-q_max": ("q_max", 1, lambda v: verify_fast_vs_naive(v, 5)),
-    "verify_fast_vs_naive-prefix_cap": ("prefix_cap", 1, lambda v: verify_fast_vs_naive(6, v)),
     "recover_sequence-n_terms": ("n_terms", 1, lambda v: recover_sequence(Fraction(1, 2), 1, v)),
     "sylvester_terms-m": ("m", 1, lambda v: sylvester_terms(v, 4)),
     "sylvester_terms-count": ("count", 1, lambda v: sylvester_terms(2, v)),

@@ -158,7 +158,7 @@ def test_package_names_resolve_on_first_use(tmp_path):
                           "walk": walk}))
     """)
     assert result["on_import"] == []
-    assert result["count"] == 46
+    assert result["count"] == 44
     assert result["missing"] == "module 'egyptfrac' has no attribute 'no_such_name'"
     assert result["not_in_dir"] == []
     assert result["unbound"] == []
@@ -178,7 +178,7 @@ COMMAND_MODULES = {
     "import": (None, []),
     "version": (["--version"], []),
     "scan": (["scan", "--qmin", "1", "--qmax", "12", "--maxiter", "100", "--out", "scan.csv"],
-             ["exactnum", "expansion", "gapfast", "scanner"]),
+             ["exactnum", "gapfast", "scanner"]),
     "expand": (["expand", "--r", "11/29", "--kind", "pseudo", "--terms", "6"],
                ["exactnum", "expansion"]),
     "recover": (["recover", "--sum", "(5-1 sqrt 5)/2", "--beta", "1/3", "--terms", "4"],
@@ -207,3 +207,19 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     """)
     assert result["code"] == (None if argv is None else 0)
     assert result["loaded"] == sorted(f"egyptfrac.{m}" for m in ["cli", "errors", *modules])
+
+
+# the modular kernel and the exact route it is checked against share no code:
+# they meet only in gaps --method both and the tests
+@pytest.mark.parametrize("module, loads", [
+    ("gapfast", ["errors", "exactnum", "gapfast"]),
+    ("expansion", ["errors", "exactnum", "expansion"]),
+])
+def test_gap_routes_load_apart(tmp_path, module, loads):
+    result = run_python(tmp_path, f"""
+        import json, sys
+        import egyptfrac.{module}
+
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("egyptfrac."))))
+    """)
+    assert result == [f"egyptfrac.{m}" for m in loads]
