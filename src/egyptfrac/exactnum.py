@@ -322,8 +322,9 @@ def int_to_decimal_str(n: int) -> str:
     and recombined in ``decimal`` arithmetic with memoised powers of two (the
     subquadratic conversion CPython 3.12 adopted for ``str(int)``).  The
     context has maximum precision and traps ``Inexact``, so every step is exact
-    or raises.
+    or raises.  ``n`` follows the integer-argument rule.
     """
+    n = _integer("n", n)
     if n.bit_length() <= DECIMAL_PATH_BITS:
         return str(n)
     two = Decimal(2)
@@ -438,14 +439,25 @@ def format_value(x) -> str:
 
 
 def decimal_digits(n: int) -> int:
-    """Number of decimal digits of |n|, computed without str() conversion."""
-    n = abs(n)
+    """Number of decimal digits of |n|, computed without str() conversion.
+
+    ``n`` follows the integer-argument rule.  With b the bit length of
+    |n| >= 1, 2**(b-1) <= |n| < 2**b, so the digit count D = floor(log10|n|) + 1
+    satisfies floor((b-1)*log10(2)) + 1 <= D <= floor(b*log10(2)) + 1.  The
+    bounds lo and hi below use 3010299956/10^10 < log10(2) < 3010299957/10^10,
+    so lo <= floor((b-1)*log10(2)) + 1 <= D <= floor(b*log10(2)) + 1 <= hi:
+    whenever lo == hi, D = lo with no power of ten formed.  Otherwise D is
+    found by comparing |n| with the powers of ten from 10**lo up.
+    """
+    n = abs(_integer("n", n))
     if n == 0:
         return 1
-    # 3010299956/10^10 < log10(2): start from a guaranteed underestimate,
-    # at most one digit short below 2**(10**10)
-    d = ((n.bit_length() - 1) * 3010299956) // 10**10 + 1
-    power = 10**d
+    b = n.bit_length()
+    lo = ((b - 1) * 3010299956) // 10**10 + 1
+    hi = (b * 3010299957) // 10**10 + 1
+    if lo == hi:
+        return lo
+    d, power = lo, 10**lo
     while power <= n:
         power *= 10
         d += 1

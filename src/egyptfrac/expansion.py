@@ -91,6 +91,19 @@ def expand(
     ``stop_at_first_zero`` truncates the stream at the first zero gap (the
     rest of the gap sequence is zero by persistence); by default the stream
     runs to the full term budget.
+
+    Each step roughly squares the size of d_n, so the last step of a run
+    costs about as much as all earlier ones.  Two rules keep that cost down:
+
+    - The rational pseudo-greedy remainder is read off the pair, not
+      subtracted.  From e_n = d_n - (a_n - 1)*c_n, a_n*c_n - d_n = c_n - e_n,
+      so x_n - 1/a_n = (a_n*c_n - d_n)/(a_n*d_n) = c_{n+1}/d_{n+1}, and
+      ``Fraction(c, d)`` reduces against the small c_{n+1} alone.
+    - A run stops at its last record: x_{N+1} (and d_{N+1}) would be the
+      largest values of the run, and no record holds them.  The exception is
+      a rational greedy or odd-greedy run, the only kind whose remainder can
+      reach 0: it forms x_{N+1} to report ``EXACT`` when its last term ends
+      the expansion.
     """
     r = _exact(r)
     if not isinstance(kind, ExpansionKind):
@@ -105,6 +118,7 @@ def expand(
         raise OddGreedyOnIrrational("odd-greedy expansion requires a rational input")
 
     pseudo_book = rational and kind is ExpansionKind.PSEUDO_GREEDY
+    can_end = rational and not pseudo_book
     records: list[ExpansionRecord] = []
     zero_gap_at: int | None = None
     x = r
@@ -138,15 +152,20 @@ def expand(
                 zero_gap_at = n
                 if stop_at_first_zero:
                     break
-            c, d = c - e, d * a
         else:
             records.append(ExpansionRecord(n=n, a=a, x=x))
 
-        x = x - Fraction(1, a)
-        if rational and x == 0:
+        if n == max_terms and not can_end:
             break
+        if pseudo_book:
+            c, d = c - e, d * a
+            x = Fraction(c, d)
+        else:
+            x = x - Fraction(1, a)
+            if can_end and x == 0:
+                break
 
-    if rational and x == 0:
+    if can_end and x == 0:
         status = ExpansionStatus.EXACT
     elif zero_gap_at is not None:
         status = ExpansionStatus.ZERO_GAP

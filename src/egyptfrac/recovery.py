@@ -80,6 +80,9 @@ def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
     :mod:`egyptfrac.exactnum`, so every record field is exact.  Raises
     :class:`~egyptfrac.errors.RecoveryBreakdown` as soon as a recovered term
     drops below 1 or a remainder stops being positive.
+
+    The run stops at its last record: x_{N+1} would be the largest value of
+    the run, and no record holds it or needs its sign.
     """
     r, beta = _exact(r), _exact(beta)
     n_terms = _integer("n_terms", n_terms, 1)
@@ -105,6 +108,8 @@ def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
                 threshold_met=sign_of(a - thr) >= 0,
             )
         )
+        if n == n_terms:
+            break
         x = x - Fraction(1, a)
     return records
 
@@ -128,7 +133,9 @@ def verify_characterization(a, r, beta) -> list[CharacterizationCheck]:
     reciprocal sum of the given terms must stay strictly below r.  ``r``
     and ``beta`` go through the exact-input rule of :mod:`egyptfrac.exactnum`;
     each term is a positive integer by its integer-argument rule (numpy
-    integers included, bools not) and is reported as a plain ``int``.
+    integers included, bools not) and is reported as a plain ``int``.  As in
+    :func:`recover_sequence`, the remainder after the last term is never
+    formed.
     """
     terms = [_term(t) for t in a]
     if not terms:
@@ -156,5 +163,7 @@ def verify_characterization(a, r, beta) -> list[CharacterizationCheck]:
                 formula_ok=(nearest_int(y) == a_n) if met else None,
             )
         )
+        if n == len(terms):
+            break
         x = x - Fraction(1, a_n)
     return checks

@@ -1,5 +1,6 @@
 import decimal
 import functools
+import inspect
 import math
 import random
 import sys
@@ -463,6 +464,58 @@ class TestDecimalDigits:
         with str_limit(0):
             assert decimal_digits(2**m) == len(str(2**m))
             assert decimal_digits(2**m - 1) == len(str(2**m - 1))
+
+    def test_every_bit_length(self):
+        """Both ends 2**(b-1) and 2**b - 1 of every bit length b <= 20,000.
+
+        len(str(n)) at all 40,000 ends takes seconds (str is quadratic), so
+        the reference is the definition, the number of powers of ten <= n,
+        and that count is checked against len(str(n)) at every 32nd b.
+        Both branches of decimal_digits must run below b = 2,000: the
+        bit-length shortcut and the fallback that forms powers of ten.
+        """
+        lines = _branch_lines()
+        seen = set()
+
+        def tracer(frame, event, arg):
+            if frame.f_code is decimal_digits.__code__:
+                return lambda frame, event, arg: seen.add(frame.f_lineno)
+
+        digits, power = 1, 10  # 10**(digits - 1) <= n < power
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for b in range(1, 20_001):
+                if b == 2_000:
+                    sys.settrace(old)
+                for n in (1 << (b - 1), (1 << b) - 1):
+                    while power <= n:
+                        power *= 10
+                        digits += 1
+                    assert decimal_digits(n) == digits, n.bit_length()
+        finally:
+            sys.settrace(old)
+        assert lines <= seen
+        with str_limit(0):
+            for b in range(1, 20_001, 32):
+                for n in (1 << (b - 1), (1 << b) - 1):
+                    assert decimal_digits(n) == decimal_digits(-n) == len(str(n)), b
+
+    def test_powers_of_ten_up_to_6000_digits(self):
+        with str_limit(0):
+            for k in [*range(1, 6001, 29), 6000]:
+                for n in (10**k - 1, 10**k, 10**k + 1):
+                    assert decimal_digits(n) == decimal_digits(-n) == len(str(n)), k
+
+
+def _branch_lines() -> set[int]:
+    """Line numbers of decimal_digits' shortcut return and of its
+    powers-of-ten loop."""
+    source, first = inspect.getsourcelines(decimal_digits)
+    marks = ("return lo", "power *= 10")
+    found = {first + i for i, line in enumerate(source) if line.strip() in marks}
+    assert len(found) == len(marks)
+    return found
 
 
 @contextmanager

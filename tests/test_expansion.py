@@ -227,6 +227,32 @@ class TestPseudoGreedyInvariants:
             assert Fraction(-1, 2) <= rec.eps < Fraction(1, 2)
 
 
+class TestStopAtTheLastRecord:
+    """A run of k terms is the first k records of a longer run: stopping at
+    the last record drops no record, adds none and changes no status."""
+
+    def test_pseudo_greedy_prefix(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            r = random_reduced(rng, 10**4)
+            k = rng.randint(1, 7)
+            short, long = pseudo(r, k), pseudo(r, k + 3)
+            assert len(short.records) == k
+            assert short.records == long.records[:k]
+            zero_at = next((rec.n for rec in long.records[:k] if rec.eps == 0), None)
+            assert short.zero_gap_at == zero_at
+            assert short.status is (
+                ExpansionStatus.ZERO_GAP if zero_at else ExpansionStatus.MAX_TERMS)
+
+    @pytest.mark.parametrize("kind", [ExpansionKind.PSEUDO_GREEDY, ExpansionKind.GREEDY])
+    def test_quadratic_prefix(self, kind):
+        long = expand(MILLIN_SUM, kind, 9)
+        for k in range(1, 7):
+            short = expand(MILLIN_SUM, kind, k)
+            assert short.records == long.records[:k]
+            assert short.status is ExpansionStatus.MAX_TERMS
+
+
 class TestGreedyInvariants:
     def test_greedy_terminates_on_rationals(self):
         rng = random.Random(12)

@@ -30,6 +30,7 @@ from egyptfrac import (
     to_decimal,
 )
 from egyptfrac.cli import main
+from egyptfrac.exactnum import decimal_digits, int_to_decimal_str
 from egyptfrac.randwalk import run_walks
 
 
@@ -68,6 +69,8 @@ ENTRY_POINTS = {
     "growth_constant-m": ("m", 1, lambda v: growth_constant(v, 6)),
     "growth_constant-depth": ("depth", 4, lambda v: growth_constant(2, v)),
     "to_decimal-digits": ("digits", 1, lambda v: to_decimal(Fraction(1, 3), v)),
+    "int_to_decimal_str-n": ("n", None, int_to_decimal_str),
+    "decimal_digits-n": ("n", None, decimal_digits),
     "scan_conjecture-q_min": ("q_min", 1, lambda v: scan(q_min=v)),
     "scan_conjecture-q_max": ("q_max", 1, lambda v: scan(q_max=v)),
     "scan_conjecture-n_max": ("n_max", 1, lambda v: scan(n_max=v)),

@@ -145,6 +145,24 @@ class TestRecoverSequence:
         assert [r.a for r in recs] == [fib_pow2(n) for n in range(1, 7)]
 
 
+class TestStopAtTheLastRecord:
+    """A run of k terms is the first k records of a longer run: stopping at
+    the last record drops no record and adds none."""
+
+    @pytest.mark.parametrize("r, beta", [(MILLIN_SUM, Fraction(1, 3)), (1, 1)],
+                             ids=["millin", "sylvester"])
+    def test_recover_prefix(self, r, beta):
+        long = recover_sequence(r, beta, 10)
+        for k in range(1, 8):
+            assert recover_sequence(r, beta, k) == long[:k]
+
+    def test_verify_prefix(self):
+        terms = [fib_pow2(n) for n in range(1, 11)]
+        long = verify_characterization(terms, MILLIN_SUM, Fraction(1, 3))
+        for k in range(1, 8):
+            assert verify_characterization(terms[:k], MILLIN_SUM, Fraction(1, 3)) == long[:k]
+
+
 class TestVerifyCharacterization:
     def test_sylvester_prefix_all_zero_delta(self):
         checks = verify_characterization(sylvester_terms(1, 8), 1, 1)
