@@ -66,6 +66,7 @@ parse_value = _Lazy("exactnum", "parse_value")
 _KINDS = {"greedy": "GREEDY", "odd": "ODD_GREEDY", "pseudo": "PSEUDO_GREEDY"}
 
 DIGIT_CAP_ENV = "EGYPT_DIGIT_CAP"
+_BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 
 
 def _env_digit_cap() -> int:
@@ -122,34 +123,21 @@ def _emit(fmt: str, columns: list[str], rows, table=None) -> None:
 
 
 def _pretty(value) -> str:
-    # tables show 4 rather than 4/1; machine formats keep canonical num/den
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        num = int_to_decimal_str(value.numerator)
-        if value.denominator == 1:
-            return num
-        return f"{num}/{int_to_decimal_str(value.denominator)}"
-    return format_value(value)
+    # a rational in a table shows 4 rather than 4/1; machine formats keep
+    # canonical num/den
+    num = int_to_decimal_str(value.numerator)
+    if value.denominator == 1:
+        return num
+    return f"{num}/{int_to_decimal_str(value.denominator)}"
 
 
 # ---------------------------------------------------------------- expand --
 
 
-def _expansion_row(rec) -> dict:
-    return {
-        "n": rec.n,
-        "a": int_to_decimal_str(rec.a),
-        "x": format_value(rec.x),
-        "c": None if rec.c is None else int_to_decimal_str(rec.c),
-        "d": None if rec.d is None else int_to_decimal_str(rec.d),
-        "e": None if rec.e is None else int_to_decimal_str(rec.e),
-        "eps": None if rec.eps is None else format_value(rec.eps),
-    }
-
-
 def _cmd_expand(args) -> int:
-    from .expansion import ExpansionKind, ExpansionStatus
+    from fractions import Fraction
+
+    from .expansion import ExpansionKind, ExpansionStatus, _decimal_rows
 
     digit_cap = args.digit_cap if args.digit_cap is not None else _env_digit_cap()
     result = expand(
@@ -159,15 +147,32 @@ def _cmd_expand(args) -> int:
         digit_cap=digit_cap,
         stop_at_first_zero=args.stop_at_zero,
     )
+    records = result.records
+    # (a, u, v, d) per record, x = u/v; a quadratic x comes whole as u
+    if isinstance(records[0].x, Fraction):
+        texts = _decimal_rows(records)
+    else:
+        texts = ((int_to_decimal_str(rec.a), format_value(rec.x), None, None) for rec in records)
+
     def table():
         return ["n", "a", "x", "eps", "c", "e", "d"], [
-            [str(rec.n), int_to_decimal_str(rec.a), _pretty(rec.x), _opt(rec.eps, _pretty),
-             _opt(rec.c, int_to_decimal_str), _opt(rec.e, int_to_decimal_str),
-             _opt(rec.d, int_to_decimal_str)]
-            for rec in result.records
+            [str(rec.n), a, u if v in (None, "1") else f"{u}/{v}", _opt(rec.eps, _pretty),
+             _opt(rec.c, int_to_decimal_str), _opt(rec.e, int_to_decimal_str), _opt(d)]
+            for rec, (a, u, v, d) in zip(records, texts)
         ]
 
-    rows = (_expansion_row(rec) for rec in result.records)
+    rows = (
+        {
+            "n": rec.n,
+            "a": a,
+            "x": u if v is None else f"{u}/{v}",
+            "c": None if rec.c is None else int_to_decimal_str(rec.c),
+            "d": d,
+            "e": None if rec.e is None else int_to_decimal_str(rec.e),
+            "eps": None if rec.eps is None else format_value(rec.eps),
+        }
+        for rec, (a, u, v, d) in zip(records, texts)
+    )
     _emit(args.format, ["n", "a", "x", "c", "d", "e", "eps"], rows, table)
     if result.status is ExpansionStatus.MAX_TERMS:
         print(
@@ -357,6 +362,17 @@ def _cmd_seq(args) -> int:
 
 def _cmd_walk(args) -> int:
     import dataclasses
+
+    # walk calls no BLAS routine, but OpenBLAS starts a spinning worker per
+    # extra core when numpy loads; ask for none, for this first import only,
+    # unless the user chose a number.  numpy loads through randwalk, as in
+    # run_walks: loading numpy alone first left the walk a larger peak RSS.
+    if "numpy" not in sys.modules and _BLAS_THREADS_ENV not in os.environ:
+        os.environ[_BLAS_THREADS_ENV] = "1"
+        try:
+            from . import randwalk  # noqa: F401  (MissingDependency without numpy)
+        finally:
+            del os.environ[_BLAS_THREADS_ENV]
 
     stats, hit_steps = run_walks(args.c0, args.steps, args.trials, args.seed)
     if args.hits_out:

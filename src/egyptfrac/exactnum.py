@@ -22,14 +22,19 @@ above the interpreter's int-to-string limit (4300 digits by default).
 divide and conquer in the ``decimal`` module instead, at maximum precision with
 ``Inexact`` trapped, so a conversion that would round raises rather than print a
 wrong digit.  :func:`format_value` and :func:`to_decimal` go through it and
-render values of any size without ``sys.set_int_max_str_digits(0)``.
+render values of any size without ``sys.set_int_max_str_digits(0)``.  The
+conversion itself, :func:`_int_to_decimal`, returns the ``Decimal``, with which
+``expansion`` seeds the decimal arithmetic that renders an expansion's rows.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact, InvalidOperation,
+    Overflow, localcontext,
+)
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -315,18 +320,23 @@ DECIMAL_PATH_BITS = 14_000
 _LEAF_BITS = 128  # pieces this small convert with Decimal(int) directly
 
 
-def int_to_decimal_str(n: int) -> str:
-    """Decimal text of an int, equal to ``str(n)`` for every size.
+def _exact_context() -> Context:
+    """A ``decimal`` context in which every operation is exact or raises:
+    maximum precision and exponent range, with ``Inexact`` trapped."""
+    return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                   traps=[InvalidOperation, DivisionByZero, Overflow, Inexact])
+
+
+def _int_to_decimal(n: int) -> Decimal:
+    """The exact ``Decimal`` of an int, the one binary-to-decimal conversion.
 
     Large values are split at half their bit length, ``n = hi * 2**w + lo``,
     and recombined in ``decimal`` arithmetic with memoised powers of two (the
-    subquadratic conversion CPython 3.12 adopted for ``str(int)``).  The
-    context has maximum precision and traps ``Inexact``, so every step is exact
-    or raises.  ``n`` follows the integer-argument rule.
+    subquadratic conversion CPython 3.12 adopted for ``str(int)``), in the
+    context of :func:`_exact_context`.
     """
-    n = _integer("n", n)
     if n.bit_length() <= DECIMAL_PATH_BITS:
-        return str(n)
+        return Decimal(n)
     two = Decimal(2)
     pow2: dict[int, Decimal] = {}
 
@@ -352,15 +362,22 @@ def int_to_decimal_str(n: int) -> str:
         lo = m - (hi << w2)
         return inner(lo, w2) + inner(hi, w - w2) * w2pow(w2)
 
-    with localcontext() as ctx:
-        ctx.prec = MAX_PREC
-        ctx.Emax = MAX_EMAX
-        ctx.Emin = MIN_EMIN
-        ctx.traps[Inexact] = True
+    with localcontext(_exact_context()):
         result = inner(abs(n), n.bit_length())
-        if n < 0:
-            result = -result
-    return str(result)
+        return -result if n < 0 else result
+
+
+def int_to_decimal_str(n: int) -> str:
+    """Decimal text of an int, equal to ``str(n)`` for every size.
+
+    Values above ``DECIMAL_PATH_BITS`` bits are the ``str()`` of
+    :func:`_int_to_decimal`, so that a conversion that would round raises
+    rather than print a wrong digit.  ``n`` follows the integer-argument rule.
+    """
+    n = _integer("n", n)
+    if n.bit_length() <= DECIMAL_PATH_BITS:
+        return str(n)
+    return str(_int_to_decimal(n))
 
 
 def to_decimal(x, digits: int) -> str:

@@ -9,18 +9,41 @@ rational eps_n = e_n/c_n.  The pair is deliberately never reduced: the
 recurrences c_{n+1} = c_n - e_n and d_{n+1} = d_n * a_n are representation
 dependent, and fixing the reduced starting point makes every trace
 reproducible.
+
+Printing an expansion is a cost of its own: a_n and x_n have twice the digits
+of the row before, and a binary-to-decimal conversion of each costs
+O(M(n) log n).  :func:`_decimal_rows` converts only the first row and reads
+every later row off the one before it, in exact ``decimal`` arithmetic.  With
+x_n = u_n/v_n in lowest terms and r_n = v_n - u_n*a_n (a big number times a
+small one, so linear), every kind of expansion satisfies:
+
+- a_n = (v_n - r_n)/u_n, since v_n - r_n = u_n*a_n;
+- x_{n+1} = x_n - 1/a_n = (u_n*a_n - v_n)/(v_n*a_n) = -r_n/(v_n*a_n);
+- k_n = -r_n/u_{n+1} is a positive integer, and v_{n+1} = v_n*a_n/k_n.
+  Proof: x_{n+1} > 0 whenever there is a row n+1, so -r_n > 0, and with
+  g = gcd(-r_n, v_n*a_n) >= 1 the lowest terms of -r_n/(v_n*a_n) are
+  (-r_n/g)/(v_n*a_n/g).  So u_{n+1} = -r_n/g, hence k_n = g, and
+  v_{n+1} = v_n*a_n/g;
+- a shown pseudo-greedy d_n is v_n*c_n/u_n, since c_n/d_n = u_n/v_n, and
+  the division is exact as u_n/v_n is in lowest terms.
+
+So each row costs one ``Decimal`` multiplication and short exact divisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
 from .errors import NonPositiveInput, NotReduced, OddGreedyOnIrrational
-from .exactnum import QuadraticValue, _exact, _integer, ceil_value, decimal_digits, nearest_int, sign_of
+from .exactnum import (
+    QuadraticValue, _exact, _exact_context, _int_to_decimal, _integer, ceil_value, decimal_digits,
+    nearest_int, sign_of,
+)
 
 DEFAULT_DIGIT_CAP = 10**4
 NAIVE_DIGIT_LIMIT = 10**5
@@ -172,6 +195,62 @@ def expand(
     else:
         status = ExpansionStatus.MAX_TERMS
     return Expansion(kind, records, status, zero_gap_at)
+
+
+# a Mersenne prime: residues modulo it are linear to read off an int and, as
+# it is below 10**19, off a Decimal too
+_CHECK_MODULUS = 2**61 - 1
+
+
+def _decimal_rows(records: list[ExpansionRecord]):
+    """Yield ``(a, u, v, d)``, the decimal text of each record of a rational
+    expansion, with x = u/v in lowest terms and d None where the record has
+    none.
+
+    Only the first row's v is converted from binary; later rows follow from
+    the row before by the identities of the module docstring, in a context
+    where every operation is exact or raises.  Each row's v, a and d are
+    compared with the record modulo ``_CHECK_MODULUS``, which is linear on
+    both sides; a mismatch, a division that is not exact, or a k_n that is
+    not a positive integer raises ``AssertionError`` naming the row, so a
+    digit that is not the record's is never yielded.  A record that breaks
+    x_{n+1} = x_n - 1/a_n shows at the row after it; nothing follows the
+    last row, whose a is checked against its own record only.
+    """
+    ctx = _exact_context()
+    modulus = Decimal(_CHECK_MODULUS)
+
+    def check(n: int, what: str, value: Decimal, want: int) -> None:
+        if int(ctx.remainder(value, modulus)) != want % _CHECK_MODULUS:
+            raise AssertionError(f"row {n}: the decimal {what} is not the record's")
+
+    def exact_divide(n: int, what: str, num: Decimal, den: Decimal) -> Decimal:
+        quotient, rest = ctx.divmod(num, den)
+        if rest:
+            raise AssertionError(f"row {n}: {what} is not an integer")
+        return quotient
+
+    v_dec = None
+    for rec in records:
+        n, u, v = rec.n, rec.x.numerator, rec.x.denominator
+        if v_dec is None:
+            v_dec = _int_to_decimal(v)
+        else:
+            k, rest = divmod(-r, u)
+            if rest or k <= 0:
+                raise AssertionError(f"row {n}: x is not x - 1/a of row {n - 1}")
+            v_dec = exact_divide(n, "v", ctx.multiply(v_dec, a_dec), _int_to_decimal(k))
+        check(n, "v", v_dec, v)
+        r = v - u * rec.a
+        u_dec = _int_to_decimal(u)
+        a_dec = exact_divide(n, "a", ctx.subtract(v_dec, _int_to_decimal(r)), u_dec)
+        check(n, "a", a_dec, rec.a)
+        d_text = None
+        if rec.d is not None:
+            d_dec = exact_divide(n, "d", ctx.multiply(v_dec, _int_to_decimal(rec.c)), u_dec)
+            check(n, "d", d_dec, rec.d)
+            d_text = str(d_dec)
+        yield str(a_dec), str(u_dec), str(v_dec), d_text
 
 
 class GapStep(NamedTuple):

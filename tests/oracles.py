@@ -4,10 +4,17 @@ These deliberately avoid the code paths they check: square roots come from
 integer-square-root interval bounds, Fibonacci from plain addition,
 integrals from Simpson quadrature, uniformity from a hand-rolled
 Kolmogorov-Smirnov statistic, random walks from a SplitMix64 of their own
-and one array per whole block of steps, and scan rows from exact (naive)
-gap steps.
+and one array per whole block of steps, scan rows from exact (naive) gap
+steps, and printed expansion rows from the interpreter's own ``str(int)``.
+
+Run as a script, it prints the CSV of a rational expansion from ``str()``,
+for comparison with ``egyptfrac expand ... --format csv``::
+
+    python3 tests/oracles.py --r 185/358 --kind pseudo --terms 20 [--digit-cap K]
 """
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt, log, sqrt
 
@@ -181,3 +188,87 @@ def scan_row_naive(p: int, q: int, n_max: int) -> tuple:
         while tail > 1 and es[tail - 2] >= 0:
             tail -= 1
     return (p, q, n0, len(es), max(cs), "MAXITER" if n0 is None else "ZERO", tail)
+
+
+@contextmanager
+def no_str_digit_limit():
+    """Lift the interpreter's int-to-string digit limit (where it has one)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def expansion_rows_str(records) -> list[dict]:
+    """The ``expand`` rows of rational records, every int printed by ``str()``.
+
+    The same keys as the CLI's json rows: a missing value is None, and a
+    rational prints as ``num/den``.
+    """
+    def text(value):
+        if value is None:
+            return None
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        return str(value)
+
+    with no_str_digit_limit():
+        return [
+            {"n": rec.n, "a": text(rec.a), "x": text(rec.x), "c": text(rec.c),
+             "d": text(rec.d), "e": text(rec.e), "eps": text(rec.eps)}
+            for rec in records
+        ]
+
+
+def expansion_table_cells(rows: list[dict]) -> list[list[str]]:
+    """The non-empty cells of each ``expand`` table row, in table order: an
+    integral x or eps shows without its ``/1``."""
+    def pretty(value):
+        return value[:-2] if value is not None and value.endswith("/1") else value
+
+    return [
+        [c for c in (str(row["n"]), row["a"], pretty(row["x"]), pretty(row["eps"]),
+                     row["c"], row["e"], row["d"]) if c]
+        for row in rows
+    ]
+
+
+def expansion_csv(rows: list[dict]) -> str:
+    """The ``expand --format csv`` text of :func:`expansion_rows_str` rows."""
+    columns = ["n", "a", "x", "c", "d", "e", "eps"]
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join("" if row[k] is None else str(row[k]) for k in columns))
+    return "\n".join(lines) + "\n"
+
+
+def expansion_records(r, kind: str, terms: int, digit_cap: int | None = None) -> list:
+    """The records behind ``egyptfrac expand --r R --kind KIND --terms N``
+    for a rational R, given as a Fraction or as ``P/Q`` text."""
+    from egyptfrac.expansion import DEFAULT_DIGIT_CAP, ExpansionKind, expand
+
+    kinds = {"greedy": "GREEDY", "odd": "ODD_GREEDY", "pseudo": "PSEUDO_GREEDY"}
+    if isinstance(r, str):
+        num, _, den = r.partition("/")
+        r = Fraction(int(num), int(den or 1))
+    return expand(r, ExpansionKind[kinds[kind]], terms,
+                  digit_cap=DEFAULT_DIGIT_CAP if digit_cap is None else digit_cap).records
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        description="print the expand --format csv text of a rational from str()")
+    parser.add_argument("--r", required=True)
+    parser.add_argument("--kind", choices=("greedy", "odd", "pseudo"), required=True)
+    parser.add_argument("--terms", type=int, required=True)
+    parser.add_argument("--digit-cap", type=int, default=None)
+    args = parser.parse_args()
+    with no_str_digit_limit():
+        records = expansion_records(args.r, args.kind, args.terms, args.digit_cap)
+    sys.stdout.write(expansion_csv(expansion_rows_str(records)))

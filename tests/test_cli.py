@@ -2,12 +2,16 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import (
+    expansion_csv, expansion_records, expansion_rows_str, expansion_table_cells, no_str_digit_limit,
+)
 
 from egyptfrac import cli, exactnum, expansion, sequences
 from egyptfrac.cli import main
@@ -78,8 +82,9 @@ class TestExpandCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_table_view_only_for_table(self, capsys, monkeypatch, fmt):
-        # machine formats render x and eps once each, through format_value;
-        # the table's own view (_pretty) is never built for them
+        # machine formats render eps once, through format_value (a rational x
+        # comes from the decimal renderer); the table's own view (_pretty) is
+        # never built for them
         def no_table(value):
             raise AssertionError("table view built for --format " + fmt)
 
@@ -91,7 +96,7 @@ class TestExpandCommand:
             capsys, "expand", "--r", "11/29", "--kind", "pseudo", "--terms", "6",
             "--format", fmt,
         )
-        assert code == 0 and len(rendered) == 2 * 6
+        assert code == 0 and len(rendered) == 6
 
     def test_quadratic_input(self, capsys):
         code, out, _ = run_cli(
@@ -143,6 +148,77 @@ class TestExpandCommand:
         )
         assert code == 1
         assert "EGYPT_DIGIT_CAP" in err
+
+
+def oracle_rows(r, kind, terms, digit_cap=None):
+    return expansion_rows_str(expansion_records(r, kind, terms, digit_cap))
+
+
+class TestExpandRowsMatchStrOracle:
+    """Every printed expand row equals the row printed by ``str()`` of the
+    same records (tests/oracles.py), which shares no code with the decimal
+    renderer or with ``int_to_decimal_str``."""
+
+    def expand_json(self, capsys, r, kind, terms, *extra):
+        code, out, _ = run_cli(capsys, "expand", "--r", str(r), "--kind", kind,
+                               "--terms", str(terms), "--format", "json", *extra)
+        assert code == 0
+        return [json.loads(line) for line in out.splitlines()]
+
+    def test_random_rationals(self, capsys):
+        rng = random.Random(2026)
+        for _ in range(300):
+            q = rng.randint(1, 10**6)
+            r = Fraction(rng.randint(1, 2 * q), q)
+            for kind in ("greedy", "odd", "pseudo"):
+                terms = rng.randint(1, 13)
+                got = self.expand_json(capsys, r, kind, terms)
+                assert got == oracle_rows(r, kind, terms), (r, kind, terms)
+
+    @pytest.fixture(scope="class")
+    def full_size(self):
+        return oracle_rows(Fraction(185, 358), "pseudo", 20)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_full_size(self, capsys, full_size, fmt):
+        code, out, _ = run_cli(capsys, "expand", "--r", "185/358", "--kind", "pseudo",
+                               "--terms", "20", "--format", fmt)
+        assert code == 0
+        lines = out.splitlines()
+        if fmt == "csv":
+            assert out == expansion_csv(full_size)
+        elif fmt == "json":
+            assert [json.loads(line) for line in lines] == full_size
+        else:
+            # every cell is one word; an empty one leaves nothing to split
+            assert lines[0].split() == ["n", "a", "x", "eps", "c", "e", "d"]
+            assert [line.split() for line in lines[2:]] == expansion_table_cells(full_size)
+
+    def test_digit_cap_shows_d(self, capsys):
+        # d_18 has 54,940 digits, above the default cap of 10**4
+        got = self.expand_json(capsys, "185/358", "pseudo", 18, "--digit-cap", str(10**6))
+        assert all(row["d"] is not None for row in got)
+        assert got == oracle_rows(Fraction(185, 358), "pseudo", 18, 10**6)
+
+    def test_greedy_run_that_ends_exact(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--r", "5/121", "--kind", "greedy",
+                                 "--terms", "10", "--format", "json")
+        got = [json.loads(line) for line in out.splitlines()]
+        assert (code, err) == (0, "")
+        assert [row["a"] for row in got] == [
+            "25", "757", "763309", "873960180913", "1527612795642093418846225"]
+        assert got[-1]["x"] == "1/1527612795642093418846225"
+        assert got == oracle_rows(Fraction(5, 121), "greedy", 10)
+
+    @pytest.mark.parametrize("kind", ["greedy", "odd", "pseudo"])
+    def test_x_above_one_with_a_huge_numerator(self, capsys, kind):
+        # u has more than DECIMAL_PATH_BITS bits in every row, and a = 1
+        r = Fraction(10**5000 + 3, 7)
+        with no_str_digit_limit():
+            text = f"{r.numerator}/{r.denominator}"
+        got = self.expand_json(capsys, text, kind, 3)
+        assert [row["a"] for row in got] == ["1", "1", "1"]
+        assert got == oracle_rows(r, kind, 3)
 
 
 class TestGapsCommand:
@@ -478,6 +554,33 @@ class TestWalkCommand:
         stats = json.loads(out)
         assert stats["hit_fraction"] == 1.0 and stats["mean_hit_time"] == 0.0
         assert stats["mean_log_t"] is None
+
+    _WALK_THREADS = """
+import json, os, sys
+from egyptfrac.cli import main
+code = main(["walk", "--c0", "10", "--steps", "20", "--trials", "8", "--seed", "1"])
+print(json.dumps([code, len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]), file=sys.stderr)
+"""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    @pytest.mark.parametrize("user_value", [None, "2"])
+    def test_walk_starts_no_blas_threads(self, user_value):
+        # OpenBLAS reads its thread count from any of these; a user's own
+        # OPENBLAS_NUM_THREADS wins, and the variable is back as it was
+        env = {k: v for k, v in TestEntryPoints.ENV.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        pytest.importorskip("numpy")
+        proc = subprocess.run([sys.executable, "-c", self._WALK_THREADS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        code, tasks, after = json.loads(proc.stderr.splitlines()[-1])
+        assert (code, after) == (0, user_value)
+        if user_value is None:
+            assert tasks == 1
+        elif (os.cpu_count() or 1) >= 2:
+            assert tasks == 2
 
 
 class TestScanCommand:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,37 @@ class TestStopAtTheLastRecord:
             short = expand(MILLIN_SUM, kind, k)
             assert short.records == long.records[:k]
             assert short.status is ExpansionStatus.MAX_TERMS
+
+
+class TestDecimalRowsGuard:
+    """The decimal renderer checks each row against its record modulo
+    2**61 - 1 and names the first row that does not follow."""
+
+    @pytest.mark.parametrize("kind", list(ExpansionKind))
+    @pytest.mark.parametrize("row", range(1, 5))
+    def test_raised_a_names_the_next_row(self, kind, row):
+        records = expand(Fraction(5, 121), kind, 6).records  # 5 greedy terms
+        doctored = list(records)
+        doctored[row - 1] = replace(records[row - 1], a=records[row - 1].a + 1)
+        rows = expansion._decimal_rows(doctored)
+        for _ in range(row):
+            next(rows)  # each row up to the doctored one prints as recorded
+        with pytest.raises(AssertionError, match=rf"^row {row + 1}: "):
+            next(rows)
+
+    def test_wrong_d_names_its_row(self):
+        records = expand(Fraction(185, 358), ExpansionKind.PSEUDO_GREEDY, 6).records
+        doctored = list(records)
+        doctored[3] = replace(records[3], d=records[3].d + 1)
+        with pytest.raises(AssertionError, match=r"^row 4: the decimal d "):
+            list(expansion._decimal_rows(doctored))
+
+    def test_faithful_records_render_as_str(self):
+        records = expand(Fraction(185, 358), ExpansionKind.PSEUDO_GREEDY, 12).records
+        assert list(expansion._decimal_rows(records)) == [
+            (str(rec.a), str(rec.x.numerator), str(rec.x.denominator), str(rec.d))
+            for rec in records
+        ]
 
 
 class TestGreedyInvariants:
