@@ -72,7 +72,6 @@ _NAMES = {
         "gap_sequence_fast",
     ),
     "recovery": (
-        "RecoveryRecord",
         "CharacterizationCheck",
         "threshold",
         "recover_sequence",

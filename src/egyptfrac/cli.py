@@ -124,11 +124,12 @@ def _emit(fmt: str, columns: list[str], rows, table=None) -> None:
 
 def _pretty(value) -> str:
     # a rational in a table shows 4 rather than 4/1; machine formats keep
-    # canonical num/den
+    # canonical num/den, and a quadratic value shows as format_value writes it
+    den = getattr(value, "denominator", None)
+    if den is None:
+        return format_value(value)
     num = int_to_decimal_str(value.numerator)
-    if value.denominator == 1:
-        return num
-    return f"{num}/{int_to_decimal_str(value.denominator)}"
+    return num if den == 1 else f"{num}/{int_to_decimal_str(den)}"
 
 
 # ---------------------------------------------------------------- expand --
@@ -299,14 +300,17 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from .exactnum import to_decimal
+    from .exactnum import ceil_value, to_decimal
+    from .recovery import threshold
 
     records = recover_sequence(args.sum, args.beta, args.terms)
+    # a term meets the threshold 8(beta + 1/3)^2 iff it meets its ceiling
+    least = ceil_value(threshold(args.beta))
 
     def table():
         return ["n", "a", "delta~", "threshold_met"], [
-            [str(rec.n), int_to_decimal_str(rec.a), to_decimal(rec.delta, 10),
-             str(rec.threshold_met)]
+            [str(rec.n), int_to_decimal_str(rec.a), to_decimal(rec.eps, 10),
+             str(rec.a >= least)]
             for rec in records
         ]
 
@@ -315,8 +319,8 @@ def _cmd_recover(args) -> int:
             "n": rec.n,
             "a": int_to_decimal_str(rec.a),
             "x": format_value(rec.x),
-            "delta": format_value(rec.delta),
-            "threshold_met": rec.threshold_met,
+            "delta": format_value(rec.eps),
+            "threshold_met": rec.a >= least,
         }
         for rec in records
     )

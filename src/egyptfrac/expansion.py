@@ -1,14 +1,21 @@
 """Unit-fraction expansion engine: greedy, odd-greedy, and pseudo-greedy.
 
 Expansions run over exact values.  The pseudo-greedy rule picks
-a_n = round(1/x_n + 1) with ties toward +infinity; the remainder updates as
-x_{n+1} = x_n - 1/a_n, and for rational input p/q (reduced first) the engine
-additionally tracks the unreduced bookkeeping pair x_n = c_n/d_n together
-with the centered residue e_n of d_n mod c_n, so that the gap is the exact
-rational eps_n = e_n/c_n.  The pair is deliberately never reduced: the
-recurrences c_{n+1} = c_n - e_n and d_{n+1} = d_n * a_n are representation
-dependent, and fixing the reduced starting point makes every trace
-reproducible.
+a_n = round(1/x_n + beta) with ties toward +infinity, for an exact offset
+beta >= 0 (1 by default; :mod:`egyptfrac.recovery` uses others); the
+remainder updates as x_{n+1} = x_n - 1/a_n.  Every pseudo-greedy record
+carries its gap eps_n = 1/x_n + beta - a_n.  For rational input p/q
+(reduced first) at beta = 1 the engine also tracks the unreduced
+bookkeeping pair x_n = c_n/d_n together with the centered residue e_n of
+d_n mod c_n, so that eps_n = e_n/c_n.  The pair is deliberately never
+reduced: the recurrences c_{n+1} = c_n - e_n and d_{n+1} = d_n * a_n are
+representation dependent, and fixing the reduced starting point makes
+every trace reproducible.  At any other beta no pair is kept.
+
+A pseudo-greedy step breaks down, and raises
+:class:`~egyptfrac.errors.RecoveryBreakdown`, when x_n <= 0 or a_n < 1.
+Only beta < 1/2 reaches it: since eps_n < 1/2, a_n > 1/x_n + beta - 1/2, so
+for beta >= 1/2 every a_n exceeds 1/x_n > 0 and x_n - 1/a_n stays positive.
 
 Printing an expansion is a cost of its own: a_n and x_n have twice the digits
 of the row before, and a binary-to-decimal conversion of each costs
@@ -39,7 +46,9 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import NonPositiveInput, NotReduced, OddGreedyOnIrrational
+from .errors import (
+    DepthExceeded, NegativeBeta, NonPositiveInput, NotReduced, OddGreedyOnIrrational, RecoveryBreakdown,
+)
 from .exactnum import (
     QuadraticValue, _exact, _exact_context, _int_to_decimal, _integer, ceil_value, decimal_digits,
     nearest_int, sign_of,
@@ -47,10 +56,15 @@ from .exactnum import (
 
 DEFAULT_DIGIT_CAP = 10**4
 NAIVE_DIGIT_LIMIT = 10**5
+# expand raises DepthExceeded before it records a term of more bits; read at
+# call time.  It admits F_{2^24} (11.6M bits; seq fib2's cap) and the 24th
+# odd-greedy term of 185/358 (11.9M), and stops there at the 25th (23.8M).
+TERM_BIT_CAP = 2**24
 
 __all__ = [
     "DEFAULT_DIGIT_CAP",
     "NAIVE_DIGIT_LIMIT",
+    "TERM_BIT_CAP",
     "ExpansionKind",
     "ExpansionStatus",
     "ExpansionRecord",
@@ -77,15 +91,16 @@ class ExpansionStatus(Enum):
 class ExpansionRecord:
     """One expansion step: term ``a``, remainder ``x`` before the step.
 
-    For pseudo-greedy over rationals the gap ``eps`` and the unreduced
-    bookkeeping ``c``, ``d``, ``e`` are present (``d`` is omitted once its
-    decimal length exceeds the digit cap); otherwise they are None.
+    A pseudo-greedy record has the gap ``eps`` = 1/x + beta - a; greedy and
+    odd-greedy records have None.  Over rationals at beta = 1 the unreduced
+    bookkeeping ``c``, ``d``, ``e`` is present too (``d`` is omitted once its
+    decimal length exceeds the digit cap); otherwise it is None.
     """
 
     n: int
     a: int
     x: Fraction | QuadraticValue
-    eps: Fraction | None = None
+    eps: Fraction | QuadraticValue | None = None
     c: int | None = None
     d: int | None = None
     e: int | None = None
@@ -99,34 +114,51 @@ class Expansion:
     zero_gap_at: int | None  # first index with eps = 0, when tracked
 
 
+def _offset(beta) -> Fraction | QuadraticValue:
+    """The pseudo-greedy offset by the exact-input rule; a negative one raises
+    :class:`~egyptfrac.errors.NegativeBeta`."""
+    beta = _exact(beta)
+    if sign_of(beta) < 0:
+        raise NegativeBeta(f"beta must be >= 0, got {beta}")
+    return beta
+
+
 def expand(
     r,
     kind: ExpansionKind,
     max_terms: int,
     digit_cap: int = DEFAULT_DIGIT_CAP,
     stop_at_first_zero: bool = False,
+    beta=1,
 ) -> Expansion:
     """Expand a positive exact value into unit fractions.
 
-    ``r`` goes through the exact-input rule of :mod:`egyptfrac.exactnum`.
-    Emits up to ``max_terms`` records; greedy expansions of rationals stop
-    early when the remainder hits 0 exactly.  For rational pseudo-greedy,
+    ``r`` and the pseudo-greedy offset ``beta`` go through the exact-input
+    rule of :mod:`egyptfrac.exactnum`; a negative ``beta`` raises
+    :class:`~egyptfrac.errors.NegativeBeta`, and a ``beta`` other than 1 for
+    another kind raises ``ValueError``.  Emits up to ``max_terms`` records;
+    greedy expansions of rationals stop early when the remainder hits 0
+    exactly.  For rational pseudo-greedy at beta = 1,
     ``stop_at_first_zero`` truncates the stream at the first zero gap (the
     rest of the gap sequence is zero by persistence); by default the stream
-    runs to the full term budget.
+    runs to the full term budget.  A pseudo-greedy breakdown (see the module
+    docstring) raises :class:`~egyptfrac.errors.RecoveryBreakdown` naming
+    its step, and a term of more than ``TERM_BIT_CAP`` bits raises
+    :class:`~egyptfrac.errors.DepthExceeded` before it is recorded.
 
     Each step roughly squares the size of d_n, so the last step of a run
     costs about as much as all earlier ones.  Two rules keep that cost down:
 
-    - The rational pseudo-greedy remainder is read off the pair, not
-      subtracted.  From e_n = d_n - (a_n - 1)*c_n, a_n*c_n - d_n = c_n - e_n,
+    - The rational pseudo-greedy remainder at beta = 1 is read off the pair,
+      not subtracted: from e_n = d_n - (a_n - 1)*c_n, a_n*c_n - d_n = c_n - e_n,
       so x_n - 1/a_n = (a_n*c_n - d_n)/(a_n*d_n) = c_{n+1}/d_{n+1}, and
       ``Fraction(c, d)`` reduces against the small c_{n+1} alone.
     - A run stops at its last record: x_{N+1} (and d_{N+1}) would be the
       largest values of the run, and no record holds them.  The exception is
       a rational greedy or odd-greedy run, the only kind whose remainder can
-      reach 0: it forms x_{N+1} to report ``EXACT`` when its last term ends
-      the expansion.
+      reach 0 and end the expansion: it forms x_{N+1} to report ``EXACT``
+      when its last term ends the expansion.  A pseudo-greedy remainder
+      that reaches 0 is a breakdown at the next step, not an end.
     """
     r = _exact(r)
     if not isinstance(kind, ExpansionKind):
@@ -135,13 +167,17 @@ def expand(
     digit_cap = _integer("digit_cap", digit_cap, 1)
     if sign_of(r) <= 0:
         raise NonPositiveInput(f"expansion requires r > 0, got {r}")
+    beta = _offset(beta)
+    pseudo = kind is ExpansionKind.PSEUDO_GREEDY
+    if beta != 1 and not pseudo:
+        raise ValueError(f"beta is a pseudo-greedy offset, got beta = {beta} for {kind.value}")
 
     rational = isinstance(r, Fraction)
     if kind is ExpansionKind.ODD_GREEDY and not rational:
         raise OddGreedyOnIrrational("odd-greedy expansion requires a rational input")
 
-    pseudo_book = rational and kind is ExpansionKind.PSEUDO_GREEDY
-    can_end = rational and not pseudo_book
+    pseudo_book = rational and pseudo and beta == 1
+    can_end = rational and not pseudo
     records: list[ExpansionRecord] = []
     zero_gap_at: int | None = None
     x = r
@@ -149,34 +185,32 @@ def expand(
         c, d = r.numerator, r.denominator
 
     for n in range(1, max_terms + 1):
+        if pseudo and not pseudo_book and sign_of(x) <= 0:
+            raise RecoveryBreakdown(n, f"remainder x_{n} = {x} is not positive")
         inv = 1 / x
-        if kind is ExpansionKind.PSEUDO_GREEDY:
-            a = nearest_int(inv + 1)
+        if pseudo:
+            y = inv + beta
+            a = nearest_int(y)
+            if a < 1:
+                raise RecoveryBreakdown(n, f"recovered term a_{n} = {a} < 1")
         elif kind is ExpansionKind.GREEDY:
             a = ceil_value(inv)
         else:
             a = ceil_value(inv) | 1  # the smallest odd integer >= 1/x_n
+        if a.bit_length() > TERM_BIT_CAP:
+            raise DepthExceeded(
+                f"a_{n} has {a.bit_length()} bits, past the term cap of {TERM_BIT_CAP} bits")
 
         if pseudo_book:
             e = d - (a - 1) * c
-            eps = Fraction(e, c)
-            records.append(
-                ExpansionRecord(
-                    n=n,
-                    a=a,
-                    x=x,
-                    eps=eps,
-                    c=c,
-                    d=d if decimal_digits(d) <= digit_cap else None,
-                    e=e,
-                )
-            )
+            shown_d = d if decimal_digits(d) <= digit_cap else None
+            records.append(ExpansionRecord(n=n, a=a, x=x, eps=y - a, c=c, d=shown_d, e=e))
             if e == 0 and zero_gap_at is None:
                 zero_gap_at = n
                 if stop_at_first_zero:
                     break
         else:
-            records.append(ExpansionRecord(n=n, a=a, x=x))
+            records.append(ExpansionRecord(n=n, a=a, x=x, eps=y - a if pseudo else None))
 
         if n == max_terms and not can_end:
             break

@@ -2,15 +2,21 @@
 
 The recovery iteration reads terms off a reciprocal sum r with an offset
 beta: a_n = round(1/x_n + beta), x_{n+1} = x_n - 1/a_n (ties toward
-+infinity).  Under the characterization hypotheses this reproduces the
-sequence exactly once a_n clears the threshold 8*(beta + 1/3)^2; below the
-threshold the formula is still applied but the record is flagged, since for
-the canonical inputs the early terms come out right anyway.
++infinity).  This is the pseudo-greedy rule of :mod:`egyptfrac.expansion`
+at offset beta, and :func:`recover_sequence` walks it with
+:func:`~egyptfrac.expansion.expand`.  Under the characterization hypotheses
+it reproduces the sequence exactly once a_n clears the threshold
+8*(beta + 1/3)^2; below the threshold the formula is still applied, since
+for the canonical inputs the early terms come out right anyway.
 
 beta = 1 on r = 1 yields the Sylvester sequence; beta = 1/3 on
 r = (5 - sqrt 5)/2 yields F_{2^n}.  All arithmetic is exact (rational or
 quadratic); a breakdown (a_n < 1 or x_{n+1} <= 0) raises rather than
 clamps, because silent repair would mask violated hypotheses.
+
+:func:`verify_characterization` checks a given sequence against the rule
+by its own loop, a route separate from the walk: it rounds each
+1/x_n + beta itself and compares the result with the given term.
 """
 
 from __future__ import annotations
@@ -18,31 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeBeta, NonPositiveInput, RecoveryBreakdown, SumExceeds
+from .errors import SumExceeds
 from .exactnum import QuadraticValue, _exact, _integer, nearest_int, sign_of
+from .expansion import ExpansionKind, ExpansionRecord, _offset, expand
 
 __all__ = [
-    "RecoveryRecord",
     "CharacterizationCheck",
     "threshold",
     "recover_sequence",
     "verify_characterization",
 ]
-
-
-@dataclass(frozen=True)
-class RecoveryRecord:
-    """One recovery step: recovered term, remainder before the step, exact gap.
-
-    ``delta`` is 1/x_n + beta - a_n; whenever ``threshold_met`` is set the
-    recovery guarantee applies and |delta| < 1/2 holds exactly.
-    """
-
-    n: int
-    a: int
-    x: Fraction | QuadraticValue
-    delta: Fraction | QuadraticValue
-    threshold_met: bool
 
 
 @dataclass(frozen=True)
@@ -66,52 +57,22 @@ def threshold(beta) -> Fraction | QuadraticValue:
     ``beta`` goes through the exact-input rule of :mod:`egyptfrac.exactnum`.
     A negative offset raises :class:`~egyptfrac.errors.NegativeBeta`.
     """
-    beta = _exact(beta)
-    if sign_of(beta) < 0:
-        raise NegativeBeta(f"beta must be >= 0, got {beta}")
-    t = beta + Fraction(1, 3)
+    t = _offset(beta) + Fraction(1, 3)
     return 8 * t * t
 
 
-def recover_sequence(r, beta, n_terms: int) -> list[RecoveryRecord]:
-    """Iterate a_n = round(1/x_n + beta) from x_1 = r for ``n_terms`` steps.
+def recover_sequence(r, beta, n_terms: int) -> list[ExpansionRecord]:
+    """The records of a_n = round(1/x_n + beta) from x_1 = r, for ``n_terms``
+    steps: ``expand(r, PSEUDO_GREEDY, n_terms, beta=beta).records``.
 
-    ``r`` and ``beta`` go through the exact-input rule of
-    :mod:`egyptfrac.exactnum`, so every record field is exact.  Raises
-    :class:`~egyptfrac.errors.RecoveryBreakdown` as soon as a recovered term
-    drops below 1 or a remainder stops being positive.
-
-    The run stops at its last record: x_{N+1} would be the largest value of
-    the run, and no record holds it or needs its sign.
+    ``n_terms`` follows the integer-argument rule.  Each record's ``eps`` is
+    the exact gap 1/x_n + beta - a_n, and the recovery guarantee applies to
+    the records with ``a >= threshold(beta)``, where |eps| < 1/2 holds.
+    Raises :class:`~egyptfrac.errors.RecoveryBreakdown` as soon as a
+    recovered term drops below 1 or a remainder stops being positive.
     """
-    r, beta = _exact(r), _exact(beta)
     n_terms = _integer("n_terms", n_terms, 1)
-    if sign_of(r) <= 0:
-        raise NonPositiveInput(f"recovery requires r > 0, got {r}")
-    thr = threshold(beta)
-
-    records: list[RecoveryRecord] = []
-    x = r
-    for n in range(1, n_terms + 1):
-        if sign_of(x) <= 0:
-            raise RecoveryBreakdown(n, f"remainder x_{n} = {x} is not positive")
-        y = 1 / x + beta
-        a = nearest_int(y)
-        if a < 1:
-            raise RecoveryBreakdown(n, f"recovered term a_{n} = {a} < 1")
-        records.append(
-            RecoveryRecord(
-                n=n,
-                a=a,
-                x=x,
-                delta=y - a,
-                threshold_met=sign_of(a - thr) >= 0,
-            )
-        )
-        if n == n_terms:
-            break
-        x = x - Fraction(1, a)
-    return records
+    return expand(r, ExpansionKind.PSEUDO_GREEDY, n_terms, beta=beta).records
 
 
 def _term(t) -> int:

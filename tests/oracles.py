@@ -5,7 +5,9 @@ integer-square-root interval bounds, Fibonacci from plain addition,
 integrals from Simpson quadrature, uniformity from a hand-rolled
 Kolmogorov-Smirnov statistic, random walks from a SplitMix64 of their own
 and one array per whole block of steps, scan rows from exact (naive) gap
-steps, and printed expansion rows from the interpreter's own ``str(int)``.
+steps, printed expansion rows from the interpreter's own ``str(int)``, and
+the offset pseudo-greedy walk from pairs of Fractions rounded by interval
+bounds.
 
 Run as a script, it prints the CSV of a rational expansion from ``str()``,
 for comparison with ``egyptfrac expand ... --format csv``::
@@ -45,6 +47,55 @@ def interval_nearest_int(a: Fraction, b: Fraction, d: int) -> int:
         if n_lo == n_hi:
             return n_lo
         digits *= 2
+
+
+def interval_sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b*sqrt(d), by the brackets of :func:`sqrt_bounds` alone.
+
+    Doubles the digits of the bracket until it excludes 0, so it returns only
+    for a nonzero value; b = 0 is decided by the sign of a.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    digits = 12
+    while True:
+        lo_s, hi_s = sqrt_bounds(d, digits)
+        lo, hi = sorted((a + b * lo_s, a + b * hi_s))
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        digits *= 2
+
+
+def offset_pseudo_greedy(r, beta: Fraction, n_terms: int, d: int = 0):
+    """The walk a_n = nearest integer to 1/x_n + beta (ties toward +inf),
+    x_{n+1} = x_n - 1/a_n, on pairs ``(a, b)`` of Fractions that stand for
+    a + b*sqrt(d).
+
+    ``r`` is the pair of x_1 (b = 0 for a rational, with any d).  An
+    irrational 1/x_n + beta rounds through :func:`interval_nearest_int`, a
+    rational y by the integer division floor(y + 1/2).  Returns
+    ``(records, breakdown)``: the records ``(n, a, x, eps)``, with x and
+    eps = 1/x_n + beta - a_n as pairs, and the first step with x_n <= 0 or
+    a_n < 1 (None when all ``n_terms`` steps ran).
+    """
+    x = (Fraction(r[0]), Fraction(r[1]))
+    records = []
+    for n in range(1, n_terms + 1):
+        if interval_sign(*x, d) <= 0:
+            return records, n
+        a_x, b_x = x
+        norm = a_x * a_x - b_x * b_x * d  # 1/x = (a_x - b_x sqrt d)/norm
+        y = (a_x / norm + beta, -b_x / norm)
+        if y[1] == 0:
+            num, den = y[0].numerator, y[0].denominator
+            term = (2 * num + den) // (2 * den)
+        else:
+            term = interval_nearest_int(*y, d)
+        if term < 1:
+            return records, n
+        records.append((n, term, x, (y[0] - term, y[1])))
+        x = (a_x - Fraction(1, term), b_x)
+    return records, None
 
 
 def fib_additive(n_max: int) -> list[int]:

@@ -141,6 +141,17 @@ class TestExpandCommand:
         rows = [json.loads(l) for l in out.strip().splitlines()]
         assert rows[3]["d"] is None
 
+    def test_term_past_the_bit_cap_is_domain_error(self, capsys):
+        # each odd-greedy term of 185/358 doubles in size: a_24 has about
+        # 11.9M bits and a_25 about 23.8M, past TERM_BIT_CAP (2^24)
+        code, out, err = run_cli(
+            capsys, "expand", "--r", "185/358", "--kind", "odd", "--terms", "30",
+            "--format", "csv", "--digit-cap", "1",
+        )
+        assert code == 1 and out == ""
+        assert err == ("error[DepthExceeded]: a_25 has 23786085 bits, "
+                       "past the term cap of 16777216 bits\n")
+
     def test_bad_env_is_reported(self, capsys, monkeypatch):
         monkeypatch.setenv("EGYPT_DIGIT_CAP", "lots")
         code, _, err = run_cli(
@@ -914,3 +925,34 @@ class TestPinnedOutput:
             "4  987  (47-21 sqrt 5)/42              ",
         )
         assert err == "NONTERMINATED: no exact end within 4 terms\n"
+
+    # a quadratic pseudo-greedy row has its gap 1/x + 1 - a, written as
+    # format_value writes it, and no (c, d, e) bookkeeping
+    def test_expand_quadratic_pseudo_table(self, capsys):
+        code, out, err = run_cli(
+            capsys, "expand", "--r", "(5-1 sqrt 5)/2", "--kind", "pseudo", "--terms", "4",
+        )
+        assert code == 0
+        assert out == lines(
+            "n  a  x               eps               c  e  d",
+            "-  -  --------------  ----------------  -  -  -",
+            "1  2  (5-1 sqrt 5)/2  (-5+1 sqrt 5)/10         ",
+            "2  2  (4-1 sqrt 5)/2  (-3+2 sqrt 5)/11         ",
+            "3  4  (3-1 sqrt 5)/2  (-3+1 sqrt 5)/2          ",
+            "4  9  (5-2 sqrt 5)/4  (-20+8 sqrt 5)/5         ",
+        )
+        assert err == "NONTERMINATED: no exact end within 4 terms\n"
+
+    def test_expand_quadratic_pseudo_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "expand", "--r", "(5-1 sqrt 5)/2", "--kind", "pseudo", "--terms", "4",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out == lines(
+            "n,a,x,c,d,e,eps",
+            "1,2,(5-1 sqrt 5)/2,,,,(-5+1 sqrt 5)/10",
+            "2,2,(4-1 sqrt 5)/2,,,,(-3+2 sqrt 5)/11",
+            "3,4,(3-1 sqrt 5)/2,,,,(-3+1 sqrt 5)/2",
+            "4,9,(5-2 sqrt 5)/4,,,,(-20+8 sqrt 5)/5",
+        )

@@ -23,6 +23,7 @@ ENTRY_POINTS = {
     "expand-greedy": lambda v: expand(v, ExpansionKind.GREEDY, 6),
     "expand-odd_greedy": lambda v: expand(v, ExpansionKind.ODD_GREEDY, 6),
     "expand-pseudo_greedy": lambda v: expand(v, ExpansionKind.PSEUDO_GREEDY, 6),
+    "expand-beta": lambda v: expand(1, ExpansionKind.PSEUDO_GREEDY, 6, beta=v),
     "recover_sequence-r": lambda v: recover_sequence(v, 1, 5),
     "recover_sequence-beta": lambda v: recover_sequence(1, v, 5),
     # 1/3 + 1/7 stays below the smallest input, 1/2

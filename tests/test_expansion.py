@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egyptfrac import expansion
-from egyptfrac.errors import NonPositiveInput, NotReduced, OddGreedyOnIrrational
+from egyptfrac.errors import (
+    DepthExceeded, NegativeBeta, NonPositiveInput, NotReduced, OddGreedyOnIrrational,
+)
 from egyptfrac.exactnum import QuadraticValue, nearest_int
 from egyptfrac.expansion import (
     ExpansionKind,
@@ -15,6 +17,7 @@ from egyptfrac.expansion import (
     expand,
     gap_sequence_naive,
 )
+from egyptfrac.recovery import recover_sequence
 
 MILLIN_SUM = QuadraticValue(Fraction(5, 2), Fraction(-1, 2), 5)
 
@@ -117,12 +120,39 @@ class TestKnownExpansions:
         res = pseudo(MILLIN_SUM, 4)
         assert res.status is ExpansionStatus.MAX_TERMS
         assert [r.a for r in res.records[:3]] == [2, 2, 4]  # beta=1 rule, not Millin's 1/3
-        assert all(r.eps is None and r.c is None for r in res.records)
+        # every pseudo-greedy record has its gap; the (c, d, e) pair is rational only
+        assert all(r.eps == 1 / r.x + 1 - r.a for r in res.records)
+        assert all(isinstance(r.eps, QuadraticValue) for r in res.records)
+        assert all(r.c is None and r.d is None and r.e is None for r in res.records)
 
     def test_quadratic_greedy_finds_millin_terms(self):
         res = expand(MILLIN_SUM, ExpansionKind.GREEDY, 5)
         assert [r.a for r in res.records] == [1, 3, 21, 987, 2178309]
         assert res.status is ExpansionStatus.MAX_TERMS
+
+
+class TestTermBitCap:
+    """A term of more than TERM_BIT_CAP bits raises DepthExceeded before it is
+    recorded, in every kind and in recovery; the cap is read at call time."""
+
+    @pytest.mark.parametrize("records", [
+        lambda k: expand(MILLIN_SUM, ExpansionKind.GREEDY, k).records,
+        lambda k: expand(Fraction(185, 358), ExpansionKind.ODD_GREEDY, k).records,
+        lambda k: pseudo(Fraction(185, 358), k).records,
+        lambda k: pseudo(Fraction(185, 358), k, beta=Fraction(3, 4)).records,
+        lambda k: pseudo(MILLIN_SUM, k).records,
+        lambda k: recover_sequence(MILLIN_SUM, Fraction(1, 3), k),
+    ], ids=["greedy", "odd_greedy", "pseudo", "pseudo-beta", "pseudo-quadratic", "recover"])
+    def test_first_term_past_the_cap_raises(self, monkeypatch, records):
+        want = records(5)
+        bits = [rec.a.bit_length() for rec in want]
+        assert bits[3] < bits[4]
+        # a term of exactly the cap is recorded, and the next, larger one raises
+        monkeypatch.setattr(expansion, "TERM_BIT_CAP", bits[3])
+        assert records(4) == want[:4]
+        with pytest.raises(DepthExceeded, match=rf"^a_5 has {bits[4]} bits, past the term cap "
+                                                rf"of {bits[3]} bits$"):
+            records(5)
 
 
 class TestExpandValidation:
@@ -148,6 +178,24 @@ class TestExpandValidation:
             expand(Fraction(1, 2), ExpansionKind.GREEDY, 0)
         with pytest.raises(ValueError):
             expand(Fraction(1, 2), ExpansionKind.GREEDY, 3, digit_cap=0)
+
+    def test_negative_beta(self):
+        with pytest.raises(NegativeBeta, match="beta must be >= 0"):
+            pseudo(Fraction(11, 29), 4, beta=Fraction(-1, 3))
+
+    @pytest.mark.parametrize("kind", [ExpansionKind.GREEDY, ExpansionKind.ODD_GREEDY])
+    def test_beta_is_pseudo_greedy_only(self, kind):
+        with pytest.raises(ValueError, match="beta is a pseudo-greedy offset"):
+            expand(Fraction(11, 29), kind, 4, beta=2)
+        assert expand(Fraction(11, 29), kind, 4, beta=1) == expand(Fraction(11, 29), kind, 4)
+
+    def test_bookkeeping_at_beta_one_only(self):
+        # another offset keeps no (c, d, e) pair and reports no zero gap
+        res = pseudo(Fraction(1, 2), 4, beta=2)
+        assert [r.a for r in res.records] == [4, 6, 14, 86]  # 2 x Sylvester
+        assert all(r.eps == 0 and r.c is None and r.d is None and r.e is None
+                   for r in res.records)
+        assert res.status is ExpansionStatus.MAX_TERMS and res.zero_gap_at is None
 
     def test_digit_cap_omits_d(self):
         res = pseudo(Fraction(11, 29), 6, digit_cap=3)

@@ -18,8 +18,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # one name per exact operation: these duplicates of nearest_int, sign_of,
 # the operators, to_decimal and run_walks are gone, scan rows are plain
 # tuples, not ScanRecord objects, diagnose_tail returns the tail index
-# itself, not a TailDiagnosis, and gapfast hosts no cross-check of itself
-# against exact arithmetic: gaps --method both and the tests compare them
+# itself, not a TailDiagnosis, gapfast hosts no cross-check of itself
+# against exact arithmetic (gaps --method both and the tests compare them),
+# and recover_sequence returns expand's records, not RecoveryRecord objects
 DELETED = (
     "rat_nearest_int",
     "quad_nearest_int",
@@ -32,6 +33,7 @@ DELETED = (
     "VerifyReport",
     "verify_fast_vs_naive",
     "compare_fast_naive",
+    "RecoveryRecord",
 )
 
 MODULES = [

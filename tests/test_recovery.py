@@ -1,6 +1,7 @@
 import enum
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,8 @@ from egyptfrac.exactnum import QuadraticValue, sign_of
 from egyptfrac.expansion import ExpansionKind, expand
 from egyptfrac.recovery import recover_sequence, threshold, verify_characterization
 from egyptfrac.sequences import fib_pow2, sylvester_terms
+
+from oracles import offset_pseudo_greedy
 
 MILLIN_SUM = QuadraticValue(Fraction(5, 2), Fraction(-1, 2), 5)
 INV_SQRT5 = QuadraticValue(0, Fraction(1, 5), 5)  # 1/sqrt(5) = sqrt(5)/5
@@ -57,7 +60,7 @@ class TestRecoverSequence:
     def test_sylvester_from_one(self):
         recs = recover_sequence(1, 1, 6)
         assert [r.a for r in recs] == [2, 3, 7, 43, 1807, 3263443]
-        assert all(r.delta == 0 for r in recs)
+        assert all(r.eps == 0 for r in recs)
 
     def test_sylvester_generalized(self):
         assert [r.a for r in recover_sequence(Fraction(1, 3), 1, 3)] == [4, 13, 157]
@@ -67,49 +70,59 @@ class TestRecoverSequence:
         recs = recover_sequence(MILLIN_SUM, Fraction(1, 3), 5)
         assert [r.a for r in recs] == [1, 3, 21, 987, 2178309]
         # the first two terms sit below the a_n >= 4 threshold but still come out right
-        assert [r.threshold_met for r in recs] == [False, False, True, True, True]
+        thr = threshold(Fraction(1, 3))
+        assert [r.a >= thr for r in recs] == [False, False, True, True, True]
 
     def test_delta_window_by_construction(self):
-        # rounding pins delta into [-1/2, 1/2); the -1/2 endpoint is
+        # rounding pins eps into [-1/2, 1/2); the -1/2 endpoint is
         # attainable on tie steps (e.g. 177/314 at n = 6)
         rng = random.Random(21)
         for _ in range(50):
             r = Fraction(rng.randint(1, 400), rng.randint(200, 800))
             for rec in recover_sequence(r, 1, 7):
-                assert Fraction(-1, 2) <= rec.delta < Fraction(1, 2)
+                assert Fraction(-1, 2) <= rec.eps < Fraction(1, 2)
 
     def test_threshold_met_strict_delta_on_canonical_runs(self):
-        # where the ratio hypotheses hold, the guarantee is strict |delta| < 1/2
-        runs = [recover_sequence(Fraction(1, m), 1, 8) for m in range(1, 31)]
-        runs.append(recover_sequence(MILLIN_SUM, Fraction(1, 3), 8))
-        runs.append(recover_sequence(MILLIN_SUM, INV_SQRT5, 8))
+        # where the ratio hypotheses hold, the guarantee is strict |eps| < 1/2
+        runs = [(recover_sequence(Fraction(1, m), 1, 8), 1) for m in range(1, 31)]
+        runs.append((recover_sequence(MILLIN_SUM, Fraction(1, 3), 8), Fraction(1, 3)))
+        runs.append((recover_sequence(MILLIN_SUM, INV_SQRT5, 8), INV_SQRT5))
         checked = 0
-        for recs in runs:
+        for recs, beta in runs:
             for rec in recs:
-                if rec.threshold_met:
+                if rec.a >= threshold(beta):
                     checked += 1
                     half = Fraction(1, 2)
-                    assert sign_of(half - rec.delta) > 0 and sign_of(rec.delta + half) > 0
+                    assert sign_of(half - rec.eps) > 0 and sign_of(rec.eps + half) > 0
         assert checked > 100
 
-    def test_round_trip_with_pseudo_greedy(self):
-        # beta = 1 recovery IS the pseudo-greedy expansion, for rationals and
-        # quadratic irrationals alike
-        rng = random.Random(22)
-        rationals = [Fraction(rng.randint(1, 2000), rng.randint(1000, 2000)) for _ in range(200)]
-        quadratics = [
-            QuadraticValue(a, b, d)
-            for d in (2, 3, 5, 7)
-            # (5 - sqrt d)/2, (1 + sqrt d)/3, 3 - sqrt d
-            for a, b in ((Fraction(5, 2), Fraction(-1, 2)), (Fraction(1, 3), Fraction(1, 3)), (3, -1))
-        ]
-        assert all(0 < r <= 2 for r in quadratics)  # none is skipped below
-        for r in rationals + quadratics:
-            if r > 2 or r <= 0:
-                continue
-            recs = recover_sequence(r, 1, 8)
-            exp = expand(r, ExpansionKind.PSEUDO_GREEDY, 8)
-            assert [x.a for x in recs] == [x.a for x in exp.records]
+    def test_offset_rule_against_oracle(self):
+        # the one loop of a_n = round(1/x_n + beta), against a walk on
+        # Fraction pairs that shares none of its code: every reduced p/q
+        # with q < 40, 1, Millin and sqrt 2, at three offsets, 9 terms each
+        inputs = [((Fraction(p, q), 0), 0) for q in range(2, 40)
+                  for p in range(1, q) if gcd(p, q) == 1]
+        inputs += [((1, 0), 0), ((Fraction(5, 2), Fraction(-1, 2)), 5), ((0, 1), 2)]
+        assert len(inputs) == 476
+
+        def pair(v):
+            return (v.a, v.b) if isinstance(v, QuadraticValue) else (v, 0)
+
+        runs = breakdowns = 0
+        for (a, b), rad in inputs:
+            r = QuadraticValue(a, b, rad) if b else Fraction(a)
+            for beta in (Fraction(1, 3), Fraction(1), Fraction(2)):
+                want, step = offset_pseudo_greedy((a, b), beta, 9, rad)
+                if step is not None:
+                    breakdowns += 1
+                    with pytest.raises(RecoveryBreakdown) as exc:
+                        expand(r, ExpansionKind.PSEUDO_GREEDY, 9, beta=beta)
+                    assert exc.value.step == step, (r, beta)
+                got = [] if step == 1 else expand(
+                    r, ExpansionKind.PSEUDO_GREEDY, len(want), beta=beta).records
+                assert [(rec.n, rec.a, pair(rec.x), pair(rec.eps)) for rec in got] == want, (r, beta)
+                runs += 1
+        assert (runs, breakdowns) == (1428, 474)
 
     def test_sylvester_fixed_point_all_m(self):
         for m in range(1, 31):
