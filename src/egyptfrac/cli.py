@@ -225,7 +225,7 @@ def _cmd_gaps(args) -> int:
     # which zip drops
     steps = {}
     if args.method != "naive":
-        fast = gap_sequence_fast(p, q, args.terms, fully_modular=True)
+        fast = gap_sequence_fast(p, q, args.terms)
         steps["fast"] = list(zip(fast.c, fast.e))
     if args.method != "fast":
         steps["naive"] = [(s.c, s.e) for s in gap_sequence_naive(p, q, args.terms)]

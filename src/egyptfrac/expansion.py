@@ -56,9 +56,9 @@ from .exactnum import (
 
 DEFAULT_DIGIT_CAP = 10**4
 NAIVE_DIGIT_LIMIT = 10**5
-# expand raises DepthExceeded before it records a term of more bits; read at
-# call time.  It admits F_{2^24} (11.6M bits; seq fib2's cap) and the 24th
-# odd-greedy term of 185/358 (11.9M), and stops there at the 25th (23.8M).
+# expand raises DepthExceeded before it records a term of more bits (see
+# expand); read at call time.  It admits F_{2^24} (11.6M bits; seq fib2's
+# cap) and a_24 of odd-greedy 185/358 (11.9M), and stops before a_25.
 TERM_BIT_CAP = 2**24
 
 __all__ = [
@@ -144,21 +144,30 @@ def expand(
     runs to the full term budget.  A pseudo-greedy breakdown (see the module
     docstring) raises :class:`~egyptfrac.errors.RecoveryBreakdown` naming
     its step, and a term of more than ``TERM_BIT_CAP`` bits raises
-    :class:`~egyptfrac.errors.DepthExceeded` before it is recorded.
+    :class:`~egyptfrac.errors.DepthExceeded` before it is recorded (by a
+    greedy or odd-greedy run sooner, see below).
 
     Each step roughly squares the size of d_n, so the last step of a run
-    costs about as much as all earlier ones.  Two rules keep that cost down:
+    costs about as much as all earlier ones.  Three rules keep that cost down:
 
     - The rational pseudo-greedy remainder at beta = 1 is read off the pair,
       not subtracted: from e_n = d_n - (a_n - 1)*c_n, a_n*c_n - d_n = c_n - e_n,
       so x_n - 1/a_n = (a_n*c_n - d_n)/(a_n*d_n) = c_{n+1}/d_{n+1}, and
       ``Fraction(c, d)`` reduces against the small c_{n+1} alone.
     - A run stops at its last record: x_{N+1} (and d_{N+1}) would be the
-      largest values of the run, and no record holds them.  The exception is
-      a rational greedy or odd-greedy run, the only kind whose remainder can
-      reach 0 and end the expansion: it forms x_{N+1} to report ``EXACT``
-      when its last term ends the expansion.  A pseudo-greedy remainder
-      that reaches 0 is a breakdown at the next step, not an end.
+      largest values of the run, and no record holds them.  A rational
+      greedy or odd-greedy run, the only kind whose remainder can reach 0
+      and end the expansion, reads ``EXACT`` off x_n = u_n/v_n in lowest
+      terms: x_n - 1/a_n = 0 exactly when u_n*a_n = v_n.  A pseudo-greedy
+      remainder that reaches 0 is a breakdown at the next step, not an end.
+    - A greedy or odd-greedy run bounds its next term before it forms the
+      remainder.  a_n is the least integer (k = 1, greedy) or odd integer
+      (k = 2, odd-greedy) >= 1/x_n, so a_n - k < 1/x_n.  If a_n > k, then
+      x_{n+1} = x_n - 1/a_n < k/(a_n(a_n - k)) and a_{n+1} >= 1/x_{n+1} >
+      a_n(a_n - k)/k.  If a_n has b bits and 2^(b-2) >= k, a_n - k >=
+      2^(b-2) and a_{n+1} > 2^(2b-3)/k: a_{n+1} has at least 2b - 1 - k
+      bits, a count at most 1 (so true of every a_{n+1} >= 1) otherwise.
+      A run raises ``DepthExceeded`` as soon as that count passes the cap.
     """
     r = _exact(r)
     if not isinstance(kind, ExpansionKind):
@@ -178,6 +187,7 @@ def expand(
 
     pseudo_book = rational and pseudo and beta == 1
     can_end = rational and not pseudo
+    status = ExpansionStatus.MAX_TERMS
     records: list[ExpansionRecord] = []
     zero_gap_at: int | None = None
     x = r
@@ -212,22 +222,25 @@ def expand(
         else:
             records.append(ExpansionRecord(n=n, a=a, x=x, eps=y - a if pseudo else None))
 
-        if n == max_terms and not can_end:
+        if can_end and x.numerator * a == x.denominator:
+            status = ExpansionStatus.EXACT
             break
+        if n == max_terms:
+            break
+        if not pseudo:
+            k = 1 if kind is ExpansionKind.GREEDY else 2
+            if 2 * a.bit_length() - 1 - k > TERM_BIT_CAP:
+                raise DepthExceeded(
+                    f"a_{n + 1} has at least {2 * a.bit_length() - 1 - k} bits, "
+                    f"past the term cap of {TERM_BIT_CAP} bits")
         if pseudo_book:
             c, d = c - e, d * a
             x = Fraction(c, d)
         else:
             x = x - Fraction(1, a)
-            if can_end and x == 0:
-                break
 
-    if can_end and x == 0:
-        status = ExpansionStatus.EXACT
-    elif zero_gap_at is not None:
+    if zero_gap_at is not None:
         status = ExpansionStatus.ZERO_GAP
-    else:
-        status = ExpansionStatus.MAX_TERMS
     return Expansion(kind, records, status, zero_gap_at)
 
 

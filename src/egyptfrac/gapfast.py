@@ -12,12 +12,12 @@ is e_n = t or e_n = t - c_n, so (d_n - e_n)/c_n is a or a + 1 and the next
 factor a_n is a + 1 when e_n = t and a + 2 when e_n = t - c_n.  Most pairs
 reach their first zero gap here.
 
-Modular chain: from the first d_K past the budget on, d is no longer
-updated.  Each outer step n >= K instead runs the residue chain below along
-k = K..n, seeded with the last exact value d_K, and only ever stores numbers
-modulo products of the small c-values.  Step n's moduli involve c_n, which
-is unknown before step n runs, so the chain cannot be advanced
-incrementally: each outer step reruns it from d_K.
+Modular chain: from the first d_K past the budget on (or from d_1 = q when
+the prefix is skipped), d is no longer updated.  Each outer step n >= K
+instead runs the residue chain below along k = K..n, seeded with d_K, and
+only ever stores numbers modulo products of the small c-values.  Step n's
+moduli involve c_n, which is unknown before step n runs, so the chain
+cannot be advanced incrementally: each outer step reruns it from d_K.
 
 Modulus bookkeeping (the load-bearing detail): at outer step n the chain
 carries d_k modulo M_k = c_k * c_{k+1} * ... * c_n -- including the leading
@@ -29,18 +29,14 @@ M_k / c_k = c_{k+1}...c_n, which is exactly the modulus the next step
 needs.  Without the extra factor the quotient would be undefined.  The chain
 checks that divisibility at every link.
 
-Both loops are one private kernel, which ``gap_sequence_fast`` and every
-scan row call.  As it steps it keeps the largest c and the last step with
-e < 0, which is all a scan row needs, and it records c_n and e_n only for a
-caller that passes lists to fill.
-
-Forced-modular switch: ``fully_modular=True`` gives the exact prefix a bound
-of 0, so the chain is seeded with d_1 = q at every outer step and d_n is never
-formed.  Its users are the places that compare this kernel with exact
-arithmetic (``expansion.gap_sequence_naive``): the CLI's ``gaps`` and the
-tests.  Short traces never leave the exact prefix, so with the default they
-would compare exact arithmetic with itself.  No comparison lives here: this
-module does not import the exact route it is checked against.
+Both loops are one private kernel.  As it steps it keeps the largest c and
+the last step with e < 0, which is all a scan row needs, and it records c_n
+and e_n only for a caller that passes lists to fill.  The exact prefix
+serves only the scan's rows: ``gap_sequence_fast``, the one public route,
+runs the chain alone from d_1 = q and never forms d_n.  So the scan's
+per-group self-check compares the prefix with the chain, and ``gaps`` and
+the tests compare the chain with exact arithmetic
+(``expansion.gap_sequence_naive``), which this module does not import.
 """
 
 from __future__ import annotations
@@ -83,11 +79,11 @@ class GapTrace(NamedTuple):
         return [Fraction(e, c) for e, c in zip(self.e, self.c)]
 
 
-def _kernel(p: int, q: int, n_max: int, past_zero: int = 0, fully_modular: bool = False,
-            cs: list[int] | None = None, es: list[int] | None = None) -> tuple:
-    """Run the exact prefix and then the residue chain for reduced p/q (see
-    the module docstring); the one kernel behind ``gap_sequence_fast`` and
-    every scan row.
+def _kernel(p: int, q: int, n_max: int, past_zero: int = 0,
+            cs: list[int] | None = None, es: list[int] | None = None, prefix: bool = True) -> tuple:
+    """Run the exact prefix (unless ``prefix`` is false) and then the residue
+    chain for reduced p/q (see the module docstring); the one kernel behind
+    ``gap_sequence_fast`` and every scan row.
 
     Steps until n_max steps or ``past_zero`` steps after the first zero gap.
     Returns ``(n, n0, max_c, last_neg)``: the steps taken, the first zero
@@ -95,7 +91,7 @@ def _kernel(p: int, q: int, n_max: int, past_zero: int = 0, fully_modular: bool 
     e < 0 (0 if none).  e_k and c_{k+1} are appended to ``es`` and ``cs``
     only when the caller passes them.  The arguments are not checked.
     """
-    bound = 0 if fully_modular else 1 << EXACT_BITS
+    bound = 1 << EXACT_BITS if prefix else 0
     c, d = p, q
     n0 = None
     limit = n_max
@@ -159,21 +155,19 @@ def _kernel(p: int, q: int, n_max: int, past_zero: int = 0, fully_modular: bool 
     return n, n0, max_c, last_neg
 
 
-def gap_sequence_fast(
-    p: int, q: int, n_max: int, past_zero: int = 0, *, fully_modular: bool = False
-) -> GapTrace:
+def gap_sequence_fast(p: int, q: int, n_max: int, past_zero: int = 0) -> GapTrace:
     """Gap sequence of the pseudo-greedy expansion of p/q, Algorithm-1 style.
 
     Stops at the first zero gap (``terminated=True``) or after ``n_max``
     steps.  ``past_zero`` extends a terminated trace by that many extra
     steps beyond the first zero, which property tests use to watch the zero
-    persist; the zeros are genuinely recomputed, not assumed.
-    ``fully_modular`` skips the exact prefix (see the module docstring).
+    persist; the zeros are genuinely recomputed, not assumed.  Every step
+    runs the residue chain from d_1 = q; d_n is never formed.
     """
     p, q = _integer("p", p, 1), _integer("q", q, 1)
     if gcd(p, q) != 1:
         raise NotReduced(f"{p}/{q} is not in lowest terms")
     n_max, past_zero = _integer("n_max", n_max, 1), _integer("past_zero", past_zero, 0)
     cs, es = [p], []
-    n, n0, _, _ = _kernel(p, q, n_max, past_zero, fully_modular, cs, es)
+    n, n0, _, _ = _kernel(p, q, n_max, past_zero, cs, es, prefix=False)
     return GapTrace(p, q, cs, es, n0 is not None, n0, n)

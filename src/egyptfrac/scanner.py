@@ -9,9 +9,10 @@ loudly by the CLI, but they are not errors.
 Every row comes from one call of the gap kernel (``gapfast``), which keeps
 the largest c and the last negative gap as it steps, so no trace is built
 per pair.  Each q group's deepest row (the most steps; the smallest p among
-equals) is recomputed through ``gap_sequence_fast`` and ``diagnose_tail``
-and must equal the row the kernel gave, or the scan stops with an
-``AssertionError`` before writing that group.
+equals) is recomputed through ``gap_sequence_fast``, which runs the residue
+chain from d_1 = q where the row's kernel kept d_n exact, and
+``diagnose_tail``; it must equal the row the kernel gave, or the scan stops
+with an ``AssertionError`` before writing that group.
 
 A row is a plain tuple in CSV column order,
 ``(p, q, n0, steps, max_c, status, tail_sign_index)``, from the worker that
@@ -123,8 +124,8 @@ def _scan_q(q: int, n_max: int) -> list[tuple]:
     """Rows of one q group: the unit of work of a scan.
 
     Every row comes from one ``_kernel`` call.  The group's deepest row (most
-    steps, smallest p among equals) is recomputed from its full trace and
-    must equal the row the kernel gave it.
+    steps, smallest p among equals) is recomputed by the residue chain alone
+    and must equal the row the kernel gave it.
     """
     kernel = _kernel
     rows = []

@@ -55,13 +55,13 @@ def test_c1_expand_11_29_table(capsys, report):
 
 
 def test_c2_fast_vs_naive_oracle(report):
-    # the modular route, forced past the exact prefix, against exact d_n
-    # arithmetic on the first min(n0, 12) terms of every reduced pair
+    # the modular route, which never forms d_n, against exact d_n arithmetic
+    # on the first min(n0, 12) terms of every reduced pair
     started = time.perf_counter()
     pairs = [(p, q) for q in range(1, 41) for p in range(1, q + 1) if gcd(p, q) == 1]
     mismatched = []
     for p, q in pairs:
-        fast = gap_sequence_fast(p, q, 12, fully_modular=True)
+        fast = gap_sequence_fast(p, q, 12)
         naive = gap_sequence_naive(p, q, 12)
         assert len(naive) >= fast.steps, (p, q)
         if list(zip(fast.c, fast.e)) != [(s.c, s.e) for s in naive[:fast.steps]]:

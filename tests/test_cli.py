@@ -143,13 +143,14 @@ class TestExpandCommand:
 
     def test_term_past_the_bit_cap_is_domain_error(self, capsys):
         # each odd-greedy term of 185/358 doubles in size: a_24 has about
-        # 11.9M bits and a_25 about 23.8M, past TERM_BIT_CAP (2^24)
+        # 11.9M bits, so a_25 has at least 23.8M, past TERM_BIT_CAP (2^24);
+        # the run stops before it forms x_25
         code, out, err = run_cli(
             capsys, "expand", "--r", "185/358", "--kind", "odd", "--terms", "30",
             "--format", "csv", "--digit-cap", "1",
         )
         assert code == 1 and out == ""
-        assert err == ("error[DepthExceeded]: a_25 has 23786085 bits, "
+        assert err == ("error[DepthExceeded]: a_25 has at least 23786083 bits, "
                        "past the term cap of 16777216 bits\n")
 
     def test_bad_env_is_reported(self, capsys, monkeypatch):

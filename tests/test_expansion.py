@@ -133,26 +133,56 @@ class TestKnownExpansions:
 
 class TestTermBitCap:
     """A term of more than TERM_BIT_CAP bits raises DepthExceeded before it is
-    recorded, in every kind and in recovery; the cap is read at call time."""
+    recorded, in every kind and in recovery; a greedy or odd-greedy run raises
+    it before it forms the remainder, from a lower bound on the next term;
+    the cap is read at call time."""
 
-    @pytest.mark.parametrize("records", [
-        lambda k: expand(MILLIN_SUM, ExpansionKind.GREEDY, k).records,
-        lambda k: expand(Fraction(185, 358), ExpansionKind.ODD_GREEDY, k).records,
-        lambda k: pseudo(Fraction(185, 358), k).records,
-        lambda k: pseudo(Fraction(185, 358), k, beta=Fraction(3, 4)).records,
-        lambda k: pseudo(MILLIN_SUM, k).records,
-        lambda k: recover_sequence(MILLIN_SUM, Fraction(1, 3), k),
+    @pytest.mark.parametrize("records, k", [
+        (lambda n: expand(MILLIN_SUM, ExpansionKind.GREEDY, n).records, 1),
+        (lambda n: expand(Fraction(185, 358), ExpansionKind.ODD_GREEDY, n).records, 2),
+        (lambda n: pseudo(Fraction(185, 358), n).records, None),
+        (lambda n: pseudo(Fraction(185, 358), n, beta=Fraction(3, 4)).records, None),
+        (lambda n: pseudo(MILLIN_SUM, n).records, None),
+        (lambda n: recover_sequence(MILLIN_SUM, Fraction(1, 3), n), None),
     ], ids=["greedy", "odd_greedy", "pseudo", "pseudo-beta", "pseudo-quadratic", "recover"])
-    def test_first_term_past_the_cap_raises(self, monkeypatch, records):
+    def test_first_term_past_the_cap_raises(self, monkeypatch, records, k):
         want = records(5)
         bits = [rec.a.bit_length() for rec in want]
         assert bits[3] < bits[4]
-        # a term of exactly the cap is recorded, and the next, larger one raises
+        # a term of exactly the cap is recorded, and the next, larger one
+        # raises; a_5 has at least 2b - 1 - k bits when a_4 has b
+        size = bits[4] if k is None else f"at least {2 * bits[3] - 1 - k}"
         monkeypatch.setattr(expansion, "TERM_BIT_CAP", bits[3])
         assert records(4) == want[:4]
-        with pytest.raises(DepthExceeded, match=rf"^a_5 has {bits[4]} bits, past the term cap "
+        with pytest.raises(DepthExceeded, match=rf"^a_5 has {size} bits, past the term cap "
                                                 rf"of {bits[3]} bits$"):
             records(5)
+
+    @pytest.mark.parametrize("r, kind, k", [
+        (MILLIN_SUM, ExpansionKind.GREEDY, 1),
+        (Fraction(185, 358), ExpansionKind.ODD_GREEDY, 2),
+    ], ids=["greedy", "odd_greedy"])
+    def test_term_past_a_cap_its_bound_passes_raises(self, monkeypatch, r, kind, k):
+        # with the cap at the bound, x_5 and a_5 are formed, and the check
+        # after the term raises
+        want = expand(r, kind, 5).records
+        bits = [rec.a.bit_length() for rec in want]
+        bound = 2 * bits[3] - 1 - k
+        assert bits[3] < bound < bits[4]
+        monkeypatch.setattr(expansion, "TERM_BIT_CAP", bound)
+        with pytest.raises(DepthExceeded, match=rf"^a_5 has {bits[4]} bits, past the term cap "
+                                                rf"of {bound} bits$"):
+            expand(r, kind, 5)
+
+    @pytest.mark.parametrize("kind, k", [(ExpansionKind.GREEDY, 1), (ExpansionKind.ODD_GREEDY, 2)])
+    def test_next_term_bounds_hold(self, kind, k):
+        # the docstring's a_{n+1} > a_n(a_n - k)/k and its bit count 2b - 1 - k
+        rng = random.Random(29)
+        for _ in range(300):
+            a = [rec.a for rec in expand(random_reduced(rng, 200), kind, 7).records]
+            for prev, nxt in zip(a, a[1:]):
+                assert k * nxt > prev * (prev - k), (kind, a)
+                assert nxt.bit_length() >= 2 * prev.bit_length() - 1 - k, (kind, a)
 
 
 class TestExpandValidation:

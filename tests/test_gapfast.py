@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from egyptfrac import cli, gapfast
+from egyptfrac import gapfast
 from egyptfrac.errors import NotReduced
 from egyptfrac.expansion import gap_sequence_naive
 from egyptfrac.gapfast import GapTrace, gap_sequence_fast
@@ -15,6 +15,14 @@ DEEP_PAIRS = [(185, 358), (367, 537), (3, 179), (149, 278), (293, 417), (437, 55
 
 def kernel_fields(trace):
     return trace.c, trace.e, trace.n0, trace.steps
+
+
+def prefix_fields(p, q, n_max, past_zero=0):
+    """``kernel_fields`` of the scan's route: the kernel's exact prefix, then
+    a chain seeded from the last exact d_K."""
+    cs, es = [p], []
+    n, n0, _, _ = gapfast._kernel(p, q, n_max, past_zero, cs, es)
+    return cs, es, n0, n
 
 
 def switch_step(p, q, budget):
@@ -164,24 +172,22 @@ class TestTraceInvariants:
 
 
 class TestExactPrefixMatchesModular:
-    """The default kernel (exact prefix, then a chain seeded from d_K) must
-    give the same trace as the forced fully modular route."""
+    """The scan's kernel (exact prefix, then a chain seeded from d_K) must give
+    the same trace as ``gap_sequence_fast``, which runs the chain from d_1."""
 
     def test_every_pair_up_to_q150(self):
         for q in range(1, 151):
             for p in range(1, q + 1):
                 if gcd(p, q) == 1:
-                    assert kernel_fields(gap_sequence_fast(p, q, 1000)) == kernel_fields(
-                        gap_sequence_fast(p, q, 1000, fully_modular=True)
+                    assert prefix_fields(p, q, 1000) == kernel_fields(
+                        gap_sequence_fast(p, q, 1000)
                     ), (p, q)
 
     @pytest.mark.parametrize("p, q", DEEP_PAIRS)
     def test_deep_pairs_past_zero(self, p, q):
         t = gap_sequence_fast(p, q, 100, past_zero=3)
         assert t.n0 >= 16 and t.steps == t.n0 + 3
-        assert kernel_fields(t) == kernel_fields(
-            gap_sequence_fast(p, q, 100, past_zero=3, fully_modular=True)
-        )
+        assert prefix_fields(p, q, 100, past_zero=3) == kernel_fields(t)
 
     def test_default_budget_switches_inside_the_deepest_trace(self):
         # 185/358 (n0 = 20) leaves the exact prefix well before its zero,
@@ -197,8 +203,8 @@ class TestExactPrefixMatchesModular:
         k = switch_step(p, q, budget)
         for n_max in range(max(1, k - 2), k + 3):
             for past_zero in (0, 2):
-                assert kernel_fields(gap_sequence_fast(p, q, n_max, past_zero)) == kernel_fields(
-                    gap_sequence_fast(p, q, n_max, past_zero, fully_modular=True)
+                assert prefix_fields(p, q, n_max, past_zero) == kernel_fields(
+                    gap_sequence_fast(p, q, n_max, past_zero)
                 ), (n_max, past_zero)
 
     @pytest.mark.parametrize("budget", [8, 64])
@@ -207,31 +213,10 @@ class TestExactPrefixMatchesModular:
         for q in range(1, 80):
             for p in range(1, q + 1):
                 if gcd(p, q) == 1:
-                    assert kernel_fields(gap_sequence_fast(p, q, 200, past_zero=2)) == kernel_fields(
-                        gap_sequence_fast(p, q, 200, past_zero=2, fully_modular=True)
+                    assert prefix_fields(p, q, 200, past_zero=2) == kernel_fields(
+                        gap_sequence_fast(p, q, 200, past_zero=2)
                     ), (p, q)
         for p, q in DEEP_PAIRS:
-            assert kernel_fields(gap_sequence_fast(p, q, 100, past_zero=3)) == kernel_fields(
-                gap_sequence_fast(p, q, 100, past_zero=3, fully_modular=True)
+            assert prefix_fields(p, q, 100, past_zero=3) == kernel_fields(
+                gap_sequence_fast(p, q, 100, past_zero=3)
             ), (p, q)
-
-
-class TestCrossChecksStayModular:
-    def test_verify_and_gaps_force_the_modular_route(self, monkeypatch, capsys):
-        # gaps --method both compares the kernel with gap_sequence_naive, and
-        # --method fast shows the trace that comparison checks; with the
-        # default kernel both would check exact arithmetic against itself on
-        # every prefix short of the switch
-        modular_flags = []
-        real = gapfast.gap_sequence_fast
-
-        def spy(*args, **kwargs):
-            modular_flags.append(kwargs.get("fully_modular", False))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(gapfast, "gap_sequence_fast", spy)
-        monkeypatch.setattr(cli, "gap_sequence_fast", spy)
-        for method in ("both", "fast"):
-            assert cli.main(["gaps", "--r", "185/358", "--terms", "20", "--method", method]) == 0
-        capsys.readouterr()
-        assert modular_flags == [True, True]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import egyptfrac
-from egyptfrac import expansion, randwalk, sequences
+from egyptfrac import expansion, gapfast, randwalk, sequences
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,6 +74,10 @@ class TestPublicSurface:
     def test_no_block_keyword(self):
         with pytest.raises(TypeError):
             randwalk.run_walks(50.0, 30, 20, 9, block=7)
+
+    def test_no_fully_modular_keyword(self):
+        with pytest.raises(TypeError):
+            gapfast.gap_sequence_fast(11, 29, 5, fully_modular=True)
 
 
 # spans (and counters) that each traced command must record at least once

@@ -514,3 +514,20 @@ class TestGroupSelfCheck:
         with pytest.raises(AssertionError, match=f"row of {deep}/{q} differs"):
             scan_conjecture(1, 40, n_max, out)
         assert {int(r.split(",")[1]) for r in read_rows(out)} == set(range(1, q))
+
+    def test_wrong_exact_prefix_step_is_caught(self, tmp_path, monkeypatch):
+        # the recheck runs the residue chain from d_1 = q, not the exact
+        # prefix that wrote the row: a prefix divmod that is off by one only
+        # on d_n of more than 1,500 bits (chain operands stay far smaller)
+        # first changes a deepest row at 58/157
+        real = divmod
+
+        def wrong(a, b):
+            quotient, rest = real(a, b)
+            return (quotient + 1 if a.bit_length() > 1500 else quotient), rest
+
+        monkeypatch.setattr(gapfast, "divmod", wrong, raising=False)
+        out = tmp_path / "scan.csv"
+        with pytest.raises(AssertionError, match="row of 58/157 differs"):
+            scan_conjecture(1, 200, 10**4, out)
+        assert {int(r.split(",")[1]) for r in read_rows(out)} == set(range(1, 157))
