@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Checks that every supported Python must pass: each pins CLI output bytes
+# that a change in the interpreter's big-integer or Fraction code could move
+# (3.12 and 3.13 both changed them).  Needs no numpy.  Run it from the
+# repository root with the package importable, for example
+#
+#   PYTHONPATH=src bash .github/digests.sh
+set -euo pipefail
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+egyptfrac() { python3 -m egyptfrac "$@"; }
+# check NAME DIGEST: the file $tmp/NAME must hash to DIGEST
+check() { echo "$2  $tmp/$1" | sha256sum -c -; }
+full() {
+  python3 -c "import json, sys; print(json.load(open('bench/digests.json'))['full'][sys.argv[1]])" "$1"
+}
+
+# the full-size expand, recover and gaps runs of the benchmark's cli-mix;
+# gaps --method both is the only CLI comparison of the modular kernel with
+# exact arithmetic
+egyptfrac expand --r 185/358 --kind pseudo --terms 20 --format csv > "$tmp/expand"
+check expand "$(full expand)"
+egyptfrac recover --sum "(5-1 sqrt 5)/2" --beta 1/3 --terms 18 --format json > "$tmp/recover"
+check recover "$(full recover)"
+egyptfrac gaps --r 185/358 --terms 20 --method both > "$tmp/gaps"
+check gaps "$(full gaps)"
+
+# no benchmark digest pins seq; F_{2^24} (11.6M bits) takes the big-integer
+# products and the decimal conversion to full size
+egyptfrac seq fib2 --terms 24 --format csv > "$tmp/fib2"
+check fib2 fe08c283bf1a270de3c3c51826a58fc1861e51a423d93019d7042f80830709c1
+
+# the benchmark's selfcheck scans only q <= 60, where one pair reaches the
+# residue chain; at q <= 600, 293 do, and both worker counts must write the
+# reference bytes
+for jobs in 1 2; do
+  egyptfrac scan --qmin 1 --qmax 600 --maxiter 10000 --jobs "$jobs" --out "$tmp/scan-j$jobs.csv"
+  check "scan-j$jobs.csv" "$(full scan.csv)"
+done
+
+# no digest pins q near 10^4; each of these 21 groups rechecks its deepest
+# row's exact prefix against the residue chain from d_1 = q, and both worker
+# counts must write the same bytes
+for jobs in 1 2; do
+  egyptfrac scan --qmin 9990 --qmax 10010 --maxiter 10000 --jobs "$jobs" --out "$tmp/far-j$jobs.csv"
+done
+cmp "$tmp/far-j1.csv" "$tmp/far-j2.csv"
+
+# expand prints each row from the row before in decimal arithmetic; the rows
+# must equal those printed by the interpreter's own str() of the same
+# records (tests/oracles.py)
+oracle() {
+  egyptfrac expand --r 185/358 "$@" --format csv > "$tmp/got.csv"
+  python3 tests/oracles.py --r 185/358 "$@" > "$tmp/want.csv"
+  cmp "$tmp/got.csv" "$tmp/want.csv"
+}
+for kind in greedy odd pseudo; do
+  oracle --kind "$kind" --terms 20
+done
+oracle --kind pseudo --terms 20 --digit-cap 1000000

@@ -53,7 +53,7 @@ _NAMES = {
     "sequences": (
         "sylvester",
         "sylvester_terms",
-        "fib",
+        "fib_pow2_terms",
         "fib_pow2",
         "GrowthEstimate",
         "growth_constant",

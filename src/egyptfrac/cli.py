@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import DepthExceeded, EgyptError, IoError
+from .errors import EgyptError, IoError
 
 
 class _Lazy:
@@ -57,7 +57,6 @@ gap_sequence_naive = _Lazy("expansion", "gap_sequence_naive")
 expand = _Lazy("expansion", "expand")
 recover_sequence = _Lazy("recovery", "recover_sequence")
 run_walks = _Lazy("randwalk", "run_walks")  # raises MissingDependency without numpy
-fib_pow2 = _Lazy("sequences", "fib_pow2")
 format_value = _Lazy("exactnum", "format_value")
 int_to_decimal_str = _Lazy("exactnum", "int_to_decimal_str")
 parse_value = _Lazy("exactnum", "parse_value")
@@ -335,7 +334,6 @@ def _cmd_seq(args) -> int:
     import dataclasses
 
     from . import sequences
-    from .exactnum import _integer
 
     if args.seq_kind == "growth":
         est = dataclasses.asdict(sequences.growth_constant(args.m, args.depth))
@@ -347,15 +345,10 @@ def _cmd_seq(args) -> int:
         else:
             _emit(args.format, list(est), [est])
         return 0
-    # fib2 builds its terms one at a time: check the count here, once for both
-    terms = _integer("count", args.terms, 1)
     if args.seq_kind == "sylvester":
-        values = sequences.sylvester_terms(args.m, terms)
-    else:  # fib2, one term at a time, so its cap is checked before the first
-        cap = sequences.FIB2_DEPTH_CAP
-        if terms > cap:
-            raise DepthExceeded(f"n={terms} exceeds depth cap {cap}")
-        values = (fib_pow2(n) for n in range(1, terms + 1))
+        values = sequences.sylvester_terms(args.m, args.terms)
+    else:
+        values = sequences.fib_pow2_terms(args.terms)
     rows = [{"n": n, "value": int_to_decimal_str(v)} for n, v in enumerate(values, start=1)]
     _emit(args.format, ["n", "value"], rows)
     return 0

@@ -1,9 +1,9 @@
 """Reference integer sequences and their doubly exponential growth constant.
 
 Generalized Sylvester numbers s_1(m) = m+1, s_{n+1} = s_n^2 - s_n + 1 (the
-classical Sylvester sequence is m = 1), Fibonacci numbers by fast doubling,
-and the power-of-two subsequence F_{2^n}.  Terms have roughly 2^n digits, so
-depth caps guard against accidental memory blowups.
+classical Sylvester sequence is m = 1) and the Millin-series denominators
+F_{2^n} by Lucas doubling, each family in one pass.  Terms have roughly 2^n
+digits, so depth caps guard against accidental memory blowups.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ __all__ = [
     "FIB2_DEPTH_CAP",
     "sylvester",
     "sylvester_terms",
-    "fib",
+    "fib_pow2_terms",
     "fib_pow2",
     "GrowthEstimate",
     "growth_constant",
@@ -47,26 +47,32 @@ def sylvester_terms(m: int, count: int) -> list[int]:
     return out
 
 
-def fib(n: int) -> int:
-    """F_n by fast doubling: F_2k = F_k(2F_{k+1}-F_k), F_{2k+1} = F_k^2+F_{k+1}^2."""
-    n = _integer("n", n, 0)
-    a, b = 0, 1  # F_0, F_1
-    for i in range(n.bit_length() - 1, -1, -1):
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        if (n >> i) & 1:
-            a, b = d, c + d
-        else:
-            a, b = c, d
-    return a
-
-
 def fib_pow2(n: int) -> int:
     """F_{2^n}, the n-th term of the Millin-series denominators."""
-    n = _integer("n", n, 1)
-    if n > FIB2_DEPTH_CAP:
-        raise DepthExceeded(f"n={n} exceeds depth cap {FIB2_DEPTH_CAP}")
-    return fib(1 << n)
+    return fib_pow2_terms(_integer("n", n, 1))[-1]
+
+
+def fib_pow2_terms(count: int) -> list[int]:
+    """First ``count`` terms F_2, F_4, .., F_{2^count}, by Lucas doubling.
+
+    With phi = (1 + sqrt 5)/2, Binet's forms give phi^m = (L_m + F_m sqrt 5)/2
+    and its conjugate psi^m = (L_m - F_m sqrt 5)/2.  Squaring the first and
+    matching rational and sqrt 5 parts gives F_{2m} = F_m L_m and
+    L_{2m} = (L_m^2 + 5 F_m^2)/2.  Multiplying the two gives
+    (phi psi)^m = (L_m^2 - 5 F_m^2)/4, which is 1 for even m as phi psi = -1,
+    so 5 F_m^2 = L_m^2 - 4 and L_{2m} = L_m^2 - 2.  Every m = 2^n is even, so
+    one pass (F, L) -> (F L, L^2 - 2) from (F_2, L_2) = (1, 3) yields them all.
+    """
+    count = _integer("count", count, 1)
+    if count > FIB2_DEPTH_CAP:
+        raise DepthExceeded(f"count={count} exceeds depth cap {FIB2_DEPTH_CAP}")
+    out, lucas = [1], 3  # F_2, L_2
+    for _ in range(count - 1):
+        out.append(out[-1] * lucas)
+        # the L past the last term would cost as much as that term: skip it
+        if len(out) < count:
+            lucas = lucas * lucas - 2
+    return out
 
 
 @dataclass(frozen=True)

@@ -492,18 +492,19 @@ class TestSeqCommand:
         assert out == ""
         assert err == f"error[ValueError]: count must be >= 1, got {terms}\n"
 
+    @pytest.mark.parametrize("kind, cap_name", [
+        (["sylvester", "--m", "1"], "SYLVESTER_DEPTH_CAP"),
+        (["fib2"], "FIB2_DEPTH_CAP"),
+    ], ids=["sylvester", "fib2"])
     @pytest.mark.parametrize("cap, terms", [(3, 4), (None, 25)], ids=["patched", "default"])
-    def test_fib2_over_cap_computes_no_term(self, capsys, monkeypatch, cap, terms):
+    def test_count_over_cap_is_domain_error(self, capsys, monkeypatch, kind, cap_name, cap, terms):
         if cap is not None:
-            monkeypatch.setattr(sequences, "FIB2_DEPTH_CAP", cap)
-        calls = []
-        monkeypatch.setattr(cli, "fib_pow2", lambda n: calls.append(n) or sequences.fib_pow2(n))
-        code, out, err = run_cli(capsys, "seq", "fib2", "--terms", str(terms), "--format", "csv")
+            monkeypatch.setattr(sequences, cap_name, cap)
+        code, out, err = run_cli(capsys, "seq", *kind, "--terms", str(terms), "--format", "csv")
         assert code == 1
         assert out == ""
-        cap = sequences.FIB2_DEPTH_CAP
-        assert err == f"error[DepthExceeded]: n={terms} exceeds depth cap {cap}\n"
-        assert calls == []
+        cap = getattr(sequences, cap_name)
+        assert err == f"error[DepthExceeded]: count={terms} exceeds depth cap {cap}\n"
 
     def test_growth_table(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "growth", "--m", "1", "--depth", "8")

@@ -18,8 +18,8 @@ import pytest
 from egyptfrac import (
     ExpansionKind,
     expand,
-    fib,
     fib_pow2,
+    fib_pow2_terms,
     gap_sequence_fast,
     gap_sequence_naive,
     growth_constant,
@@ -64,7 +64,7 @@ ENTRY_POINTS = {
     "sylvester_terms-count": ("count", 1, lambda v: sylvester_terms(2, v)),
     "sylvester-m": ("m", 1, lambda v: sylvester(v, 4)),
     "sylvester-n": ("n", 1, lambda v: sylvester(2, v)),
-    "fib-n": ("n", 0, fib),
+    "fib_pow2_terms-count": ("count", 1, fib_pow2_terms),
     "fib_pow2-n": ("n", 1, fib_pow2),
     "growth_constant-m": ("m", 1, lambda v: growth_constant(v, 6)),
     "growth_constant-depth": ("depth", 4, lambda v: growth_constant(2, v)),

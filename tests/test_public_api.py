@@ -20,7 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # tuples, not ScanRecord objects, diagnose_tail returns the tail index
 # itself, not a TailDiagnosis, gapfast hosts no cross-check of itself
 # against exact arithmetic (gaps --method both and the tests compare them),
-# and recover_sequence returns expand's records, not RecoveryRecord objects
+# recover_sequence returns expand's records, not RecoveryRecord objects, and
+# F_{2^n} comes from fib_pow2_terms's one pass, not a general fib(n)
 DELETED = (
     "rat_nearest_int",
     "quad_nearest_int",
@@ -34,6 +35,7 @@ DELETED = (
     "verify_fast_vs_naive",
     "compare_fast_naive",
     "RecoveryRecord",
+    "fib",
 )
 
 MODULES = [
@@ -62,7 +64,8 @@ class TestPublicSurface:
         lambda: sequences.sylvester(1, 3, depth_cap=5),
         lambda: sequences.sylvester_terms(1, 3, depth_cap=5),
         lambda: sequences.fib_pow2(3, depth_cap=5),
-    ], ids=["sylvester", "sylvester_terms", "fib_pow2"])
+        lambda: sequences.fib_pow2_terms(3, depth_cap=5),
+    ], ids=["sylvester", "sylvester_terms", "fib_pow2", "fib_pow2_terms"])
     def test_no_depth_cap_keyword(self, call):
         with pytest.raises(TypeError):
             call()

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +7,8 @@ from egyptfrac import sequences
 from egyptfrac.errors import DepthExceeded
 from egyptfrac.sequences import (
     SYLVESTER_DEPTH_CAP,
-    fib,
     fib_pow2,
+    fib_pow2_terms,
     growth_constant,
     sylvester,
     sylvester_terms,
@@ -51,7 +50,7 @@ class TestSylvester:
         monkeypatch.setattr(sequences, "FIB2_DEPTH_CAP", 3)
         assert sylvester_terms(1, 3) == [2, 3, 7]
         for call in (lambda: sylvester(1, 4), lambda: sylvester_terms(1, 4),
-                     lambda: fib_pow2(4)):
+                     lambda: fib_pow2(4), lambda: fib_pow2_terms(4)):
             with pytest.raises(DepthExceeded, match="exceeds depth cap 3"):
                 call()
 
@@ -71,34 +70,6 @@ class TestSylvester:
                 partial += Fraction(1, terms[n - 1])
 
 
-class TestFib:
-    def test_base_cases(self):
-        assert fib(0) == 0
-        assert fib(1) == 1
-
-    def test_millin_terms(self):
-        assert [fib(2), fib(4), fib(8), fib(16), fib(32)] == [1, 3, 21, 987, 2178309]
-
-    def test_fib_64_against_additive_oracle(self):
-        oracle = fib_additive(64)
-        assert fib(64) == oracle[64] == 10610209857723
-
-    def test_matches_additive_oracle_prefix(self):
-        oracle = fib_additive(500)
-        for n in range(501):
-            assert fib(n) == oracle[n]
-
-    def test_additive_recurrence_random(self):
-        rng = random.Random(42)
-        for _ in range(1000):
-            n = rng.randint(0, 10**4)
-            assert fib(n + 2) == fib(n + 1) + fib(n)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            fib(-1)
-
-
 class TestFibPow2:
     def test_first_five(self):
         assert [fib_pow2(n) for n in range(1, 6)] == [1, 3, 21, 987, 2178309]
@@ -110,6 +81,14 @@ class TestFibPow2:
         oracle = fib_additive(2**12)
         for n in range(1, 13):
             assert fib_pow2(n) == oracle[2**n]
+
+    def test_terms_against_additive_oracle(self):
+        oracle = fib_additive(2**12)
+        assert fib_pow2_terms(12) == [oracle[2**n] for n in range(1, 13)]
+
+    def test_single_term_is_last_of_list(self):
+        for n in range(1, 13):
+            assert fib_pow2(n) == fib_pow2_terms(n)[-1]
 
     def test_depth_cap(self):
         with pytest.raises(DepthExceeded):
