@@ -27,6 +27,18 @@ check recover "$(full recover)"
 egyptfrac gaps --r 185/358 --terms 20 --method both > "$tmp/gaps"
 check gaps "$(full gaps)"
 
+# the human tables, which the benchmark pins only for gaps --method both
+egyptfrac expand --r 185/358 --kind pseudo --terms 14 > "$tmp/expand-table"
+check expand-table cb8bb1fa8fdb7225d1c77c006622b81fa45e9c8b10d0f1323f22ce709863f456
+egyptfrac recover --sum "(5-1 sqrt 5)/2" --beta 1/3 --terms 12 > "$tmp/recover-table"
+check recover-table c686614ca2a73296fd6b7baf2cb263bde3204fce4624b1787275f3c7f7bcb453
+egyptfrac gaps --r 11/29 --terms 12 --method fast > "$tmp/gaps-table"
+check gaps-table 0e2ddf78f369d04512d5a4ea248d5e1bba672c4453fa2f2f74d2e58a12955015
+egyptfrac seq growth --m 1 --depth 8 > "$tmp/growth-table"
+check growth-table 95efc40183ef0e27964e595057059a7104dd1f0e54bad36a65a16d94b4244179
+egyptfrac seq sylvester --m 2 --terms 8 > "$tmp/sylvester-table"
+check sylvester-table e58da22cb6227722e705bdad98b4963999d9143ac608f7e63c288b236cc37814
+
 # no benchmark digest pins seq; F_{2^24} (11.6M bits) takes the big-integer
 # products and the decimal conversion to full size
 egyptfrac seq fib2 --terms 24 --format csv > "$tmp/fib2"

@@ -51,10 +51,8 @@ _NAMES = {
         "format_value",
     ),
     "sequences": (
-        "sylvester",
         "sylvester_terms",
         "fib_pow2_terms",
-        "fib_pow2",
         "GrowthEstimate",
         "growth_constant",
     ),

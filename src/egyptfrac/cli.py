@@ -3,9 +3,12 @@
 Subcommands: expand, gaps, scan, recover, seq, walk.  The default output is
 a human table; ``--format json`` emits JSON-lines and ``--format csv``
 comma-separated rows, both schema-stable (see the README format reference).
-Commands that print one row per term write their row dicts through ``_emit``,
-as do ``seq growth`` and ``gaps --method both`` (one row) for json and csv;
-other single-object outputs are printed directly.
+``_emit`` makes every ``--format`` choice: each command hands it row dicts,
+and ``expand``, ``recover``, ``seq growth`` and ``gaps --method both`` a
+human view for the table.  The one exception is ``gaps --method fast``,
+whose json is a single trace object and whose table adds a status line on
+stderr.  ``scan`` and ``walk`` print one JSON summary and have no
+``--format``.
 Exit codes: 0 success, 1 domain error (message names the error), 2 usage
 error.
 
@@ -64,34 +67,18 @@ parse_value = _Lazy("exactnum", "parse_value")
 # ExpansionKind member names: the enum loads with expansion, on dispatch
 _KINDS = {"greedy": "GREEDY", "odd": "ODD_GREEDY", "pseudo": "PSEUDO_GREEDY"}
 
-DIGIT_CAP_ENV = "EGYPT_DIGIT_CAP"
 _BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 
 
-def _env_digit_cap() -> int:
-    from .exactnum import _integer
-    from .expansion import DEFAULT_DIGIT_CAP
-
-    raw = os.environ.get(DIGIT_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DIGIT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{DIGIT_CAP_ENV} must be an integer, got {raw!r}") from None
-    return _integer(DIGIT_CAP_ENV, cap, 1)
-
-
-def _print_table(headers: list[str], rows: list[list[str]]) -> None:
+def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    print(fmt.format(*headers))
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print(fmt.format(*row))
+    lines = [fmt.format(*headers), "  ".join("-" * w for w in widths)]
+    lines.extend(fmt.format(*row) for row in rows)
+    return "\n".join(lines)
 
 
 def _opt(value, render=str) -> str:
@@ -104,10 +91,13 @@ def _csv_cell(value) -> str:
 
 
 def _emit(fmt: str, columns: list[str], rows, table=None) -> None:
-    """Write row dicts as JSON-lines, or their ``columns`` cells as CSV or a
-    table.  ``table()`` returns (headers, cells) for a human view instead; it
-    runs only for ``--format table``, and then ``rows`` is never iterated, so
-    a lazy ``rows`` builds no dict that the table does not show."""
+    """Write row dicts in the chosen ``--format``: each as a JSON line, or
+    its ``columns`` cells as CSV or a table.  Every command makes its
+    ``--format`` choice here, apart from ``gaps --method fast``'s json trace
+    object and table-mode stderr status line.  ``table()`` returns the text
+    of a human view in place of the plain table; it runs only for
+    ``--format table``, and then ``rows`` is never iterated, so a lazy
+    ``rows`` builds no dict that the table does not show."""
     if fmt == "json":
         for row in rows:
             print(json.dumps(row))
@@ -116,9 +106,9 @@ def _emit(fmt: str, columns: list[str], rows, table=None) -> None:
         for row in rows:
             print(",".join(_csv_cell(row[k]) for k in columns))
     elif table is not None:
-        _print_table(*table())
+        print(table())
     else:
-        _print_table(columns, [[_opt(row[k]) for k in columns] for row in rows])
+        print(_table(columns, [[_opt(row[k]) for k in columns] for row in rows]))
 
 
 def _pretty(value) -> str:
@@ -137,14 +127,13 @@ def _pretty(value) -> str:
 def _cmd_expand(args) -> int:
     from fractions import Fraction
 
-    from .expansion import ExpansionKind, ExpansionStatus, _decimal_rows
+    from .expansion import DEFAULT_DIGIT_CAP, ExpansionKind, ExpansionStatus, _decimal_rows
 
-    digit_cap = args.digit_cap if args.digit_cap is not None else _env_digit_cap()
     result = expand(
         args.r,
         ExpansionKind[_KINDS[args.kind]],
         args.terms,
-        digit_cap=digit_cap,
+        digit_cap=DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap,
         stop_at_first_zero=args.stop_at_zero,
     )
     records = result.records
@@ -155,11 +144,11 @@ def _cmd_expand(args) -> int:
         texts = ((int_to_decimal_str(rec.a), format_value(rec.x), None, None) for rec in records)
 
     def table():
-        return ["n", "a", "x", "eps", "c", "e", "d"], [
+        return _table(["n", "a", "x", "eps", "c", "e", "d"], [
             [str(rec.n), a, u if v in (None, "1") else f"{u}/{v}", _opt(rec.eps, _pretty),
              _opt(rec.c, int_to_decimal_str), _opt(rec.e, int_to_decimal_str), _opt(d)]
             for rec, (a, u, v, d) in zip(records, texts)
-        ]
+        ])
 
     rows = (
         {
@@ -241,10 +230,8 @@ def _cmd_gaps(args) -> int:
             "mismatch_indices": mismatches,
             "agree": not mismatches,
         }
-        if args.format == "table":
-            print(f"compared {len(pairs)} terms: " + ("agree" if not mismatches else f"MISMATCH at {mismatches}"))
-        else:
-            _emit(args.format, list(report), [report])
+        verdict = "agree" if not mismatches else f"MISMATCH at {mismatches}"
+        _emit(args.format, list(report), [report], lambda: f"compared {len(pairs)} terms: {verdict}")
         return 1 if mismatches else 0
 
     if args.method == "fast" and args.format == "json":
@@ -307,11 +294,11 @@ def _cmd_recover(args) -> int:
     least = ceil_value(threshold(args.beta))
 
     def table():
-        return ["n", "a", "delta~", "threshold_met"], [
+        return _table(["n", "a", "delta~", "threshold_met"], [
             [str(rec.n), int_to_decimal_str(rec.a), to_decimal(rec.eps, 10),
              str(rec.a >= least)]
             for rec in records
-        ]
+        ])
 
     rows = (
         {
@@ -337,13 +324,10 @@ def _cmd_seq(args) -> int:
 
     if args.seq_kind == "growth":
         est = dataclasses.asdict(sequences.growth_constant(args.m, args.depth))
-        if args.format == "table":
-            print(
-                f"c_hat(m={est['m']}, depth={est['depth']}) = {est['c_hat']}"
-                f"  (|error| <= {est['residual_bound']})"
-            )
-        else:
-            _emit(args.format, list(est), [est])
+        _emit(args.format, list(est), [est], lambda: (
+            f"c_hat(m={est['m']}, depth={est['depth']}) = {est['c_hat']}"
+            f"  (|error| <= {est['residual_bound']})"
+        ))
         return 0
     if args.seq_kind == "sylvester":
         values = sequences.sylvester_terms(args.m, args.terms)
@@ -421,12 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p_expand.add_argument("--terms", type=int, required=True, metavar="N")
     p_expand.add_argument("--digit-cap", type=int, default=None, metavar="K",
-                          help=f"omit d beyond K decimal digits (default DEFAULT_DIGIT_CAP, env {DIGIT_CAP_ENV})")
-    stop = p_expand.add_mutually_exclusive_group()
-    stop.add_argument("--continue-past-zero", action="store_true", dest="continue_past_zero",
-                      help="keep expanding past the first zero gap (default behaviour)")
-    stop.add_argument("--stop-at-zero", action="store_true", dest="stop_at_zero",
-                      help="truncate a rational pseudo-greedy stream at the first zero gap")
+                          help="omit d beyond K decimal digits (default DEFAULT_DIGIT_CAP)")
+    p_expand.add_argument("--stop-at-zero", action="store_true",
+                          help="truncate a rational pseudo-greedy stream at the first zero gap")
     _add_format(p_expand)
     p_expand.set_defaults(fn=_cmd_expand)
 

@@ -141,9 +141,11 @@ def expand(
     exactly.  For rational pseudo-greedy at beta = 1,
     ``stop_at_first_zero`` truncates the stream at the first zero gap (the
     rest of the gap sequence is zero by persistence); by default the stream
-    runs to the full term budget.  A pseudo-greedy breakdown (see the module
-    docstring) raises :class:`~egyptfrac.errors.RecoveryBreakdown` naming
-    its step, and a term of more than ``TERM_BIT_CAP`` bits raises
+    runs to the full term budget.  Any other run keeps no gap bookkeeping,
+    so ``stop_at_first_zero`` raises ``ValueError`` there.  A pseudo-greedy
+    breakdown (see the module docstring) raises
+    :class:`~egyptfrac.errors.RecoveryBreakdown` naming its step, and a
+    term of more than ``TERM_BIT_CAP`` bits raises
     :class:`~egyptfrac.errors.DepthExceeded` before it is recorded (by a
     greedy or odd-greedy run sooner, see below).
 
@@ -186,6 +188,9 @@ def expand(
         raise OddGreedyOnIrrational("odd-greedy expansion requires a rational input")
 
     pseudo_book = rational and pseudo and beta == 1
+    if stop_at_first_zero and not pseudo_book:
+        raise ValueError("stop_at_first_zero needs a rational pseudo-greedy run at beta = 1, "
+                         "the only run that tracks zero gaps")
     can_end = rational and not pseudo
     status = ExpansionStatus.MAX_TERMS
     records: list[ExpansionRecord] = []

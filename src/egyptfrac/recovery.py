@@ -4,10 +4,16 @@ The recovery iteration reads terms off a reciprocal sum r with an offset
 beta: a_n = round(1/x_n + beta), x_{n+1} = x_n - 1/a_n (ties toward
 +infinity).  This is the pseudo-greedy rule of :mod:`egyptfrac.expansion`
 at offset beta, and :func:`recover_sequence` walks it with
-:func:`~egyptfrac.expansion.expand`.  Under the characterization hypotheses
-it reproduces the sequence exactly once a_n clears the threshold
-8*(beta + 1/3)^2; below the threshold the formula is still applied, since
-for the canonical inputs the early terms come out right anyway.
+:func:`~egyptfrac.expansion.expand`.  The recovery guarantee has a
+hypothesis: every ratio a_n^2/a_{n+1} of the sequence lies in one window
+[L, U] inside [beta - 1/3, beta + 1/3], and a_n >= 8*U^2.  Then the formula
+reproduces a_n exactly.  The threshold 8*(beta + 1/3)^2 is the largest such
+8*U^2, and ``threshold_met`` reports only a_n >= threshold(beta): it does
+not check the window, so a term that meets it can still fail the formula
+(15, 436, 189661, ... has sum 2/29 and meets it at n = 1, but
+15^2/436 ~ 0.516 lies outside [2/3, 4/3], and the formula gives 16).  Below
+the threshold the formula is still applied, since for the canonical inputs
+the early terms come out right anyway.
 
 beta = 1 on r = 1 yields the Sylvester sequence; beta = 1/3 on
 r = (5 - sqrt 5)/2 yields F_{2^n}.  All arithmetic is exact (rational or
@@ -40,8 +46,11 @@ __all__ = [
 class CharacterizationCheck:
     """Per-index report for a candidate sequence against a reciprocal sum.
 
-    ``formula_ok`` is None below the threshold (no guarantee there), else
-    whether round(1/x_n + beta) reproduces a_n exactly.
+    ``threshold_met`` is a_n >= threshold(beta) and nothing more: the
+    recovery guarantee also needs every ratio a_k^2/a_{k+1} in a window
+    [L, U] inside [beta - 1/3, beta + 1/3] with a_n >= 8*U^2 (see the module
+    docstring), which is not checked.  ``formula_ok`` is None below the
+    threshold, else whether round(1/x_n + beta) reproduces a_n exactly.
     """
 
     n: int
@@ -66,8 +75,11 @@ def recover_sequence(r, beta, n_terms: int) -> list[ExpansionRecord]:
     steps: ``expand(r, PSEUDO_GREEDY, n_terms, beta=beta).records``.
 
     ``n_terms`` follows the integer-argument rule.  Each record's ``eps`` is
-    the exact gap 1/x_n + beta - a_n, and the recovery guarantee applies to
-    the records with ``a >= threshold(beta)``, where |eps| < 1/2 holds.
+    the exact gap 1/x_n + beta - a_n.  For a sequence whose ratios
+    a_n^2/a_{n+1} lie in a window [L, U] inside [beta - 1/3, beta + 1/3],
+    the recovery guarantee applies to the records with a_n >= 8*U^2, which
+    include every record with ``a >= threshold(beta)``; see the module
+    docstring.
     Raises :class:`~egyptfrac.errors.RecoveryBreakdown` as soon as a
     recovered term drops below 1 or a remainder stops being positive.
     """

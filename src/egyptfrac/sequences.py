@@ -20,18 +20,11 @@ FIB2_DEPTH_CAP = 24
 __all__ = [
     "SYLVESTER_DEPTH_CAP",
     "FIB2_DEPTH_CAP",
-    "sylvester",
     "sylvester_terms",
     "fib_pow2_terms",
-    "fib_pow2",
     "GrowthEstimate",
     "growth_constant",
 ]
-
-
-def sylvester(m: int, n: int) -> int:
-    """n-th generalized Sylvester number s_n(m)."""
-    return sylvester_terms(m, _integer("n", n, 1))[-1]
 
 
 def sylvester_terms(m: int, count: int) -> list[int]:
@@ -45,11 +38,6 @@ def sylvester_terms(m: int, count: int) -> list[int]:
         s = out[-1]
         out.append(s * s - s + 1)
     return out
-
-
-def fib_pow2(n: int) -> int:
-    """F_{2^n}, the n-th term of the Millin-series denominators."""
-    return fib_pow2_terms(_integer("n", n, 1))[-1]
 
 
 def fib_pow2_terms(count: int) -> list[int]:
@@ -109,7 +97,7 @@ def growth_constant(m: int, depth: int) -> GrowthEstimate:
     if not 4 <= depth <= 16:
         raise DepthExceeded(f"depth must be in [4, 16], got {depth}")
     m = _integer("m", m, 1)
-    s = sylvester(m, depth)
+    s = sylvester_terms(m, depth)[-1]
     ln_s = _log_bigint(s)
     c_hat = math.exp(ln_s / 2.0**depth)
     log10_res = math.log10(c_hat) - depth * math.log10(2) - ln_s / math.log(10)

@@ -20,7 +20,7 @@ from egyptfrac.gapfast import gap_sequence_fast
 from egyptfrac.randwalk import analytic_drift, run_walks
 from egyptfrac.recovery import recover_sequence, verify_characterization
 from egyptfrac.scanner import scan_conjecture
-from egyptfrac.sequences import fib_pow2, sylvester_terms
+from egyptfrac.sequences import fib_pow2_terms, sylvester_terms
 
 MILLIN_SUM = QuadraticValue(Fraction(5, 2), Fraction(-1, 2), 5)
 INV_SQRT5 = QuadraticValue(0, Fraction(1, 5), 5)
@@ -99,7 +99,7 @@ def test_c4_sylvester_recovery(report):
 
 def test_c5_millin_recovery(report):
     started = time.perf_counter()
-    want = [fib_pow2(n) for n in range(1, 9)]
+    want = fib_pow2_terms(8)
     got = [r.a for r in recover_sequence(MILLIN_SUM, Fraction(1, 3), 8)]
     assert got == want
     checks = verify_characterization(want, MILLIN_SUM, INV_SQRT5)
@@ -168,8 +168,9 @@ def test_c8_invariant_property_suite(report):
 
 def test_c9_exact_inequalities(report):
     started = time.perf_counter()
-    for n in range(1, 13):
-        assert 3 * fib_pow2(n) ** 2 <= 2 * fib_pow2(n + 1)
+    terms = fib_pow2_terms(13)
+    for f, f_next in zip(terms, terms[1:]):
+        assert 3 * f**2 <= 2 * f_next
     lhs = Fraction(1, 1) + Fraction(1, 3) + Fraction(1, 21)
     bound = QuadraticValue(Fraction(1583, 638), Fraction(-319, 638), 5)
     assert sign_of(lhs - bound) >= 0

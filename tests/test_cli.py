@@ -65,13 +65,23 @@ class TestExpandCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 5
 
-    def test_continue_past_zero_flag_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "expand", "--r", "11/29", "--kind", "pseudo", "--terms", "7",
-            "--continue-past-zero", "--format", "csv",
+    def test_stop_at_zero_without_gap_bookkeeping_is_domain_error(self, capsys):
+        # a quadratic run tracks no zero gap, so it cannot stop at one
+        code, out, err = run_cli(
+            capsys, "expand", "--r", "(5-1 sqrt 5)/2", "--kind", "pseudo", "--terms", "3",
+            "--stop-at-zero",
         )
-        assert code == 0
-        assert len(out.strip().splitlines()) == 1 + 7
+        assert code == 1 and out == ""
+        assert err.startswith("error[ValueError]: stop_at_first_zero ")
+
+    def test_continue_past_zero_is_a_usage_error(self, capsys):
+        # running past the first zero gap is the default; no flag restates it
+        code, out, err = run_cli(
+            capsys, "expand", "--r", "11/29", "--kind", "pseudo", "--terms", "7",
+            "--continue-past-zero",
+        )
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --continue-past-zero" in err
 
     def test_table_format(self, capsys):
         code, out, _ = run_cli(
@@ -131,15 +141,12 @@ class TestExpandCommand:
         rows = [json.loads(l) for l in out.strip().splitlines()]
         assert rows[0]["d"] == "29" and rows[3]["d"] is None
 
-    def test_digit_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("EGYPT_DIGIT_CAP", "3")
-        code, out, _ = run_cli(
-            capsys, "expand", "--r", "11/29", "--kind", "pseudo", "--terms", "6",
-            "--format", "json",
-        )
-        assert code == 0
-        rows = [json.loads(l) for l in out.strip().splitlines()]
-        assert rows[3]["d"] is None
+    @pytest.mark.parametrize("value", ["lots", "3"])
+    def test_digit_cap_comes_from_the_flag_alone(self, capsys, monkeypatch, value):
+        argv = ["expand", "--r", "11/29", "--kind", "pseudo", "--terms", "6", "--format", "json"]
+        want = run_cli(capsys, *argv)
+        monkeypatch.setenv("EGYPT_DIGIT_CAP", value)
+        assert run_cli(capsys, *argv) == want
 
     def test_term_past_the_bit_cap_is_domain_error(self, capsys):
         # each odd-greedy term of 185/358 doubles in size: a_24 has about
@@ -152,14 +159,6 @@ class TestExpandCommand:
         assert code == 1 and out == ""
         assert err == ("error[DepthExceeded]: a_25 has at least 23786083 bits, "
                        "past the term cap of 16777216 bits\n")
-
-    def test_bad_env_is_reported(self, capsys, monkeypatch):
-        monkeypatch.setenv("EGYPT_DIGIT_CAP", "lots")
-        code, _, err = run_cli(
-            capsys, "expand", "--r", "1/2", "--kind", "pseudo", "--terms", "2",
-        )
-        assert code == 1
-        assert "EGYPT_DIGIT_CAP" in err
 
 
 def oracle_rows(r, kind, terms, digit_cap=None):
@@ -732,12 +731,6 @@ class TestUsageErrors:
     def test_missing_required(self, capsys):
         assert run_cli(capsys, "expand", "--r", "1/2", "--terms", "3")[0] == 2
 
-    def test_mutually_exclusive_stop_flags(self, capsys):
-        assert run_cli(
-            capsys, "expand", "--r", "1/2", "--kind", "pseudo", "--terms", "3",
-            "--stop-at-zero", "--continue-past-zero",
-        )[0] == 2
-
     def test_type_error_names_the_parser(self, capsys):
         # the parser's type= functions are imported on first call; argparse
         # must still name the real function
@@ -763,8 +756,7 @@ class TestUsageErrors:
         assert code == 0
         assert out == lines(
             "usage: egyptfrac expand [-h] --r VALUE --kind {greedy,odd,pseudo} --terms N",
-            "                        [--digit-cap K]",
-            "                        [--continue-past-zero | --stop-at-zero]",
+            "                        [--digit-cap K] [--stop-at-zero]",
             "                        [--format {table,json,csv}]",
             "",
             "options:",
@@ -772,10 +764,7 @@ class TestUsageErrors:
             "  --r VALUE             exact value, e.g. 11/29 or '(5-1 sqrt 5)/2'",
             "  --kind {greedy,odd,pseudo}",
             "  --terms N",
-            "  --digit-cap K         omit d beyond K decimal digits (default 10000, env",
-            "                        EGYPT_DIGIT_CAP)",
-            "  --continue-past-zero  keep expanding past the first zero gap (default",
-            "                        behaviour)",
+            "  --digit-cap K         omit d beyond K decimal digits (default 10000)",
             "  --stop-at-zero        truncate a rational pseudo-greedy stream at the first",
             "                        zero gap",
             "  --format {table,json,csv}",
@@ -807,7 +796,7 @@ class TestEntryPoints:
             text=True,
         )
         assert proc.returncode == 0
-        assert "--continue-past-zero" in proc.stdout
+        assert "--stop-at-zero" in proc.stdout
 
 
 def lines(*rows):

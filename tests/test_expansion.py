@@ -227,6 +227,17 @@ class TestExpandValidation:
                    for r in res.records)
         assert res.status is ExpansionStatus.MAX_TERMS and res.zero_gap_at is None
 
+    @pytest.mark.parametrize("r, kind, beta", [
+        (Fraction(11, 29), ExpansionKind.GREEDY, 1),
+        (Fraction(11, 29), ExpansionKind.ODD_GREEDY, 1),
+        (MILLIN_SUM, ExpansionKind.PSEUDO_GREEDY, 1),
+        (Fraction(1, 2), ExpansionKind.PSEUDO_GREEDY, 2),
+    ], ids=["greedy", "odd", "quadratic", "beta-2"])
+    def test_stop_at_first_zero_needs_gap_bookkeeping(self, r, kind, beta):
+        # these runs track no zero gap, so they cannot stop at one
+        with pytest.raises(ValueError, match="^stop_at_first_zero needs"):
+            expand(r, kind, 3, stop_at_first_zero=True, beta=beta)
+
     def test_digit_cap_omits_d(self):
         res = pseudo(Fraction(11, 29), 6, digit_cap=3)
         ds = [r.d for r in res.records]

@@ -18,18 +18,15 @@ import pytest
 from egyptfrac import (
     ExpansionKind,
     expand,
-    fib_pow2,
     fib_pow2_terms,
     gap_sequence_fast,
     gap_sequence_naive,
     growth_constant,
     recover_sequence,
     scan_conjecture,
-    sylvester,
     sylvester_terms,
     to_decimal,
 )
-from egyptfrac.cli import main
 from egyptfrac.exactnum import decimal_digits, int_to_decimal_str
 from egyptfrac.randwalk import run_walks
 
@@ -62,10 +59,7 @@ ENTRY_POINTS = {
     "recover_sequence-n_terms": ("n_terms", 1, lambda v: recover_sequence(Fraction(1, 2), 1, v)),
     "sylvester_terms-m": ("m", 1, lambda v: sylvester_terms(v, 4)),
     "sylvester_terms-count": ("count", 1, lambda v: sylvester_terms(2, v)),
-    "sylvester-m": ("m", 1, lambda v: sylvester(v, 4)),
-    "sylvester-n": ("n", 1, lambda v: sylvester(2, v)),
     "fib_pow2_terms-count": ("count", 1, fib_pow2_terms),
-    "fib_pow2-n": ("n", 1, fib_pow2),
     "growth_constant-m": ("m", 1, lambda v: growth_constant(v, 6)),
     "growth_constant-depth": ("depth", 4, lambda v: growth_constant(2, v)),
     "to_decimal-digits": ("digits", 1, lambda v: to_decimal(Fraction(1, 3), v)),
@@ -148,10 +142,3 @@ class TestWalkStart:
         got = walk(c0=value)
         assert type(got[0].c0) is float
         assert_same_result(got, walk(c0=10.0))
-
-
-def test_digit_cap_env_below_one_is_named(capsys, monkeypatch):
-    monkeypatch.setenv("EGYPT_DIGIT_CAP", "0")
-    code = main(["expand", "--r", "1/2", "--kind", "pseudo", "--terms", "2"])
-    assert code == 1
-    assert capsys.readouterr().err == "error[ValueError]: EGYPT_DIGIT_CAP must be >= 1, got 0\n"

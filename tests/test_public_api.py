@@ -36,6 +36,8 @@ DELETED = (
     "compare_fast_naive",
     "RecoveryRecord",
     "fib",
+    "sylvester",
+    "fib_pow2",
 )
 
 MODULES = [
@@ -61,11 +63,9 @@ class TestPublicSurface:
             assert name not in getattr(module, "__all__", ())
 
     @pytest.mark.parametrize("call", [
-        lambda: sequences.sylvester(1, 3, depth_cap=5),
         lambda: sequences.sylvester_terms(1, 3, depth_cap=5),
-        lambda: sequences.fib_pow2(3, depth_cap=5),
         lambda: sequences.fib_pow2_terms(3, depth_cap=5),
-    ], ids=["sylvester", "sylvester_terms", "fib_pow2", "fib_pow2_terms"])
+    ], ids=["sylvester_terms", "fib_pow2_terms"])
     def test_no_depth_cap_keyword(self, call):
         with pytest.raises(TypeError):
             call()

@@ -14,7 +14,7 @@ from egyptfrac.errors import (
 from egyptfrac.exactnum import QuadraticValue, sign_of
 from egyptfrac.expansion import ExpansionKind, expand
 from egyptfrac.recovery import recover_sequence, threshold, verify_characterization
-from egyptfrac.sequences import fib_pow2, sylvester_terms
+from egyptfrac.sequences import fib_pow2_terms, sylvester_terms
 
 from oracles import offset_pseudo_greedy
 
@@ -131,7 +131,7 @@ class TestRecoverSequence:
 
     def test_millin_fixed_point(self):
         recs = recover_sequence(MILLIN_SUM, Fraction(1, 3), 8)
-        assert [r.a for r in recs] == [fib_pow2(n) for n in range(1, 9)]
+        assert [r.a for r in recs] == fib_pow2_terms(8)
 
     def test_breakdown_term_below_one(self):
         with pytest.raises(RecoveryBreakdown) as exc:
@@ -155,7 +155,7 @@ class TestRecoverSequence:
 
     def test_quadratic_beta(self):
         recs = recover_sequence(MILLIN_SUM, INV_SQRT5, 6)
-        assert [r.a for r in recs] == [fib_pow2(n) for n in range(1, 7)]
+        assert [r.a for r in recs] == fib_pow2_terms(6)
 
 
 class TestStopAtTheLastRecord:
@@ -170,7 +170,7 @@ class TestStopAtTheLastRecord:
             assert recover_sequence(r, beta, k) == long[:k]
 
     def test_verify_prefix(self):
-        terms = [fib_pow2(n) for n in range(1, 11)]
+        terms = fib_pow2_terms(10)
         long = verify_characterization(terms, MILLIN_SUM, Fraction(1, 3))
         for k in range(1, 8):
             assert verify_characterization(terms[:k], MILLIN_SUM, Fraction(1, 3)) == long[:k]
@@ -184,15 +184,23 @@ class TestVerifyCharacterization:
         # s_n >= 15 from n = 4 on
         assert [c.threshold_met for c in checks] == [False] * 3 + [True] * 5
 
+    def test_threshold_without_the_window_is_no_guarantee(self):
+        # 15, 436, 189661, ... (a Sylvester tail) sums to 2/29, and 15 meets
+        # the threshold 128/9, but 15^2/436 ~ 0.516 lies outside
+        # [2/3, 4/3]: the formula gives 16, not 15
+        first = verify_characterization([15, 436, 189661], Fraction(2, 29), 1)[0]
+        assert (first.n, first.threshold_met, first.formula_ok) == (1, True, False)
+        assert first.delta == Fraction(1, 2)
+
     def test_millin_prefix_formula_from_n3(self):
-        terms = [fib_pow2(n) for n in range(1, 9)]
+        terms = fib_pow2_terms(8)
         checks = verify_characterization(terms, MILLIN_SUM, Fraction(1, 3))
         for c in checks:
             if c.n >= 3:
                 assert c.threshold_met and c.formula_ok
 
     def test_millin_beta_inv_sqrt5_small_delta(self):
-        terms = [fib_pow2(n) for n in range(1, 9)]
+        terms = fib_pow2_terms(8)
         checks = verify_characterization(terms, MILLIN_SUM, INV_SQRT5)
         tol = Fraction(1, 100)
         for c in checks:
@@ -200,7 +208,7 @@ class TestVerifyCharacterization:
                 assert sign_of(tol - c.delta) > 0 and sign_of(c.delta + tol) > 0
 
     def test_delta_vanishes_at_correct_beta(self):
-        terms = [fib_pow2(n) for n in range(1, 9)]
+        terms = fib_pow2_terms(8)
         right = verify_characterization(terms, MILLIN_SUM, INV_SQRT5)
         wrong = verify_characterization(terms, MILLIN_SUM, Fraction(1, 3))
         for n in (6, 7, 8):
@@ -247,7 +255,7 @@ class TestVerifyCharacterization:
 class TestMillinFirstThreeBound:
     def test_exact_inequality(self):
         # 1/F_2 + 1/F_4 + 1/F_8 = 29/21 >= (1583 - 319*sqrt(5))/638
-        lhs = sum(Fraction(1, fib_pow2(n)) for n in range(1, 4))
+        lhs = sum(Fraction(1, f) for f in fib_pow2_terms(3))
         assert lhs == Fraction(29, 21)
         bound = QuadraticValue(Fraction(1583, 638), Fraction(-319, 638), 5)
         assert sign_of(lhs - bound) >= 0

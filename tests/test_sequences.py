@@ -7,10 +7,8 @@ from egyptfrac import sequences
 from egyptfrac.errors import DepthExceeded
 from egyptfrac.sequences import (
     SYLVESTER_DEPTH_CAP,
-    fib_pow2,
     fib_pow2_terms,
     growth_constant,
-    sylvester,
     sylvester_terms,
 )
 
@@ -31,17 +29,15 @@ class TestSylvester:
         # OEIS A000058, the classical Sylvester sequence
         known = [2, 3, 7, 43, 1807, 3263443, 10650056950807, 113423713055421844361000443]
         for n in range(1, 9):
-            assert sylvester(1, n) == known[n - 1]
+            assert sylvester_terms(1, n)[-1] == known[n - 1]
 
     def test_single_term_matches_product_identity(self):
         # s_{n+1}(m) - 1 = m * s_1(m) * ... * s_n(m), from s_{n+1} - 1 = s_n (s_n - 1)
         for m in (1, 3, 10):
             for n in range(1, 9):
-                assert sylvester(m, n + 1) - 1 == m * math.prod(sylvester(m, k) for k in range(1, n + 1))
+                assert sylvester_terms(m, n + 1)[-1] - 1 == m * math.prod(sylvester_terms(m, n))
 
     def test_depth_cap(self):
-        with pytest.raises(DepthExceeded):
-            sylvester(1, SYLVESTER_DEPTH_CAP + 1)
         with pytest.raises(DepthExceeded):
             sylvester_terms(1, SYLVESTER_DEPTH_CAP + 1)
 
@@ -49,16 +45,15 @@ class TestSylvester:
         monkeypatch.setattr(sequences, "SYLVESTER_DEPTH_CAP", 3)
         monkeypatch.setattr(sequences, "FIB2_DEPTH_CAP", 3)
         assert sylvester_terms(1, 3) == [2, 3, 7]
-        for call in (lambda: sylvester(1, 4), lambda: sylvester_terms(1, 4),
-                     lambda: fib_pow2(4), lambda: fib_pow2_terms(4)):
+        for call in (lambda: sylvester_terms(1, 4), lambda: fib_pow2_terms(4)):
             with pytest.raises(DepthExceeded, match="exceeds depth cap 3"):
                 call()
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            sylvester(0, 3)
+            sylvester_terms(0, 3)
         with pytest.raises(ValueError):
-            sylvester(1, 0)
+            sylvester_terms(1, 0)
 
     def test_partial_sum_identity(self):
         # sum_{k<n} 1/s_k(m) == 1/m - 1/(s_n(m) - 1), exactly
@@ -72,32 +67,36 @@ class TestSylvester:
 
 class TestFibPow2:
     def test_first_five(self):
-        assert [fib_pow2(n) for n in range(1, 6)] == [1, 3, 21, 987, 2178309]
+        assert fib_pow2_terms(5) == [1, 3, 21, 987, 2178309]
 
     def test_n6(self):
-        assert fib_pow2(6) == 10610209857723
+        assert fib_pow2_terms(6)[-1] == 10610209857723
 
     def test_definition(self):
         oracle = fib_additive(2**12)
         for n in range(1, 13):
-            assert fib_pow2(n) == oracle[2**n]
+            assert fib_pow2_terms(n)[-1] == oracle[2**n]
 
     def test_terms_against_additive_oracle(self):
         oracle = fib_additive(2**12)
         assert fib_pow2_terms(12) == [oracle[2**n] for n in range(1, 13)]
 
     def test_single_term_is_last_of_list(self):
+        # a shorter run skips the Lucas number past its last term; its last
+        # term must still be the longer run's
+        terms = fib_pow2_terms(12)
         for n in range(1, 13):
-            assert fib_pow2(n) == fib_pow2_terms(n)[-1]
+            assert fib_pow2_terms(n)[-1] == terms[n - 1]
 
     def test_depth_cap(self):
         with pytest.raises(DepthExceeded):
-            fib_pow2(25)
+            fib_pow2_terms(25)
 
     def test_ratio_bound(self):
         # 3*F_{2^n}^2 <= 2*F_{2^{n+1}}, the exact form of F^2/F' <= 2/3
-        for n in range(1, 13):
-            assert 3 * fib_pow2(n) ** 2 <= 2 * fib_pow2(n + 1)
+        terms = fib_pow2_terms(13)
+        for f, f_next in zip(terms, terms[1:]):
+            assert 3 * f**2 <= 2 * f_next
 
 
 class TestGrowthConstant:
@@ -119,7 +118,7 @@ class TestGrowthConstant:
         est = growth_constant(2, 8)
         c = float(est.c_hat)
         assert c > 1
-        s8 = sylvester(2, 8)
+        s8 = sylvester_terms(2, 8)[-1]
         # s8 within [c^256 / 2, 2 * c^256], compared in log space
         assert abs(256 * math.log(c) - math.log2(s8) * math.log(2)) <= math.log(2)
 

@@ -158,7 +158,7 @@ def test_package_names_resolve_on_first_use(tmp_path):
                           "walk": walk}))
     """)
     assert result["on_import"] == []
-    assert result["count"] == 43
+    assert result["count"] == 41
     assert result["missing"] == "module 'egyptfrac' has no attribute 'no_such_name'"
     assert result["not_in_dir"] == []
     assert result["unbound"] == []
