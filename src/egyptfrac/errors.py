@@ -15,7 +15,7 @@ class RadicandMismatch(EgyptError, ValueError):
 
 
 class DepthExceeded(EgyptError, ValueError):
-    """A sequence index exceeds the configured depth cap."""
+    """A term would pass ``TERM_BIT_CAP`` bits (see :mod:`egyptfrac.exactnum`)."""
 
 
 class NonPositiveInput(EgyptError, ValueError):

@@ -38,9 +38,10 @@ from decimal import (
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import RadicandMismatch
+from .errors import DepthExceeded, RadicandMismatch
 
 __all__ = [
+    "TERM_BIT_CAP",
     "QuadraticValue",
     "ExactValue",
     "nearest_int",
@@ -264,6 +265,17 @@ def _integer(name: str, x, lo: int | None = None, hi: int | None = None) -> int:
     if lo is not None and x < lo:
         raise ValueError(f"{name} must be >= {lo}, got {x}")
     return x
+
+
+TERM_BIT_CAP = 2**24  # the one term-size rule: no exact term of more bits is formed
+
+
+def _check_term(name: str, bits: int, at_least: bool = False) -> None:
+    """Raise DepthExceeded naming the term ``name`` if ``bits`` (its bit length,
+    or a lower bound on it if ``at_least``) passes TERM_BIT_CAP, read at call time."""
+    if bits > TERM_BIT_CAP:
+        at = "at least " if at_least else ""
+        raise DepthExceeded(f"{name} has {at}{bits} bits, past the term cap of {TERM_BIT_CAP} bits")
 
 
 def sign_of(x) -> int:

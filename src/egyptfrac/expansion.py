@@ -47,24 +47,19 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import (
-    DepthExceeded, NegativeBeta, NonPositiveInput, NotReduced, OddGreedyOnIrrational, RecoveryBreakdown,
+    NegativeBeta, NonPositiveInput, NotReduced, OddGreedyOnIrrational, RecoveryBreakdown,
 )
 from .exactnum import (
-    QuadraticValue, _exact, _exact_context, _int_to_decimal, _integer, ceil_value, decimal_digits,
-    nearest_int, sign_of,
+    QuadraticValue, _check_term, _exact, _exact_context, _int_to_decimal, _integer, ceil_value,
+    decimal_digits, nearest_int, sign_of,
 )
 
 DEFAULT_DIGIT_CAP = 10**4
 NAIVE_DIGIT_LIMIT = 10**5
-# expand raises DepthExceeded before it records a term of more bits (see
-# expand); read at call time.  It admits F_{2^24} (11.6M bits; seq fib2's
-# cap) and a_24 of odd-greedy 185/358 (11.9M), and stops before a_25.
-TERM_BIT_CAP = 2**24
 
 __all__ = [
     "DEFAULT_DIGIT_CAP",
     "NAIVE_DIGIT_LIMIT",
-    "TERM_BIT_CAP",
     "ExpansionKind",
     "ExpansionStatus",
     "ExpansionRecord",
@@ -145,7 +140,7 @@ def expand(
     so ``stop_at_first_zero`` raises ``ValueError`` there.  A pseudo-greedy
     breakdown (see the module docstring) raises
     :class:`~egyptfrac.errors.RecoveryBreakdown` naming its step, and a
-    term of more than ``TERM_BIT_CAP`` bits raises
+    term of more than :data:`~egyptfrac.exactnum.TERM_BIT_CAP` bits raises
     :class:`~egyptfrac.errors.DepthExceeded` before it is recorded (by a
     greedy or odd-greedy run sooner, see below).
 
@@ -212,9 +207,7 @@ def expand(
             a = ceil_value(inv)
         else:
             a = ceil_value(inv) | 1  # the smallest odd integer >= 1/x_n
-        if a.bit_length() > TERM_BIT_CAP:
-            raise DepthExceeded(
-                f"a_{n} has {a.bit_length()} bits, past the term cap of {TERM_BIT_CAP} bits")
+        _check_term(f"a_{n}", a.bit_length())
 
         if pseudo_book:
             e = d - (a - 1) * c
@@ -234,10 +227,7 @@ def expand(
             break
         if not pseudo:
             k = 1 if kind is ExpansionKind.GREEDY else 2
-            if 2 * a.bit_length() - 1 - k > TERM_BIT_CAP:
-                raise DepthExceeded(
-                    f"a_{n + 1} has at least {2 * a.bit_length() - 1 - k} bits, "
-                    f"past the term cap of {TERM_BIT_CAP} bits")
+            _check_term(f"a_{n + 1}", 2 * a.bit_length() - 1 - k, at_least=True)
         if pseudo_book:
             c, d = c - e, d * a
             x = Fraction(c, d)

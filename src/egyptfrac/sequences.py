@@ -2,8 +2,9 @@
 
 Generalized Sylvester numbers s_1(m) = m+1, s_{n+1} = s_n^2 - s_n + 1 (the
 classical Sylvester sequence is m = 1) and the Millin-series denominators
-F_{2^n} by Lucas doubling, each family in one pass.  Terms have roughly 2^n
-digits, so depth caps guard against accidental memory blowups.
+F_{2^n} by Lucas doubling, each family in one pass.  A term has about 2^n
+times the bits of the first, so each is held to ``exactnum.TERM_BIT_CAP``: the
+first term past it raises DepthExceeded once the terms before it are built.
 """
 
 from __future__ import annotations
@@ -11,15 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DepthExceeded
-from .exactnum import _integer
-
-SYLVESTER_DEPTH_CAP = 24
-FIB2_DEPTH_CAP = 24
+from .exactnum import _check_term, _integer
 
 __all__ = [
-    "SYLVESTER_DEPTH_CAP",
-    "FIB2_DEPTH_CAP",
     "sylvester_terms",
     "fib_pow2_terms",
     "GrowthEstimate",
@@ -28,15 +23,18 @@ __all__ = [
 
 
 def sylvester_terms(m: int, count: int) -> list[int]:
-    """First ``count`` terms s_1(m) .. s_count(m), by direct recurrence."""
+    """First ``count`` terms s_1(m) .. s_count(m), by direct recurrence.  Each
+    s^2 - s + 1 > s^2/2 is checked before it is formed too: it has at least
+    2b - 2 bits for a b-bit s."""
     count = _integer("count", count, 1)
-    if count > SYLVESTER_DEPTH_CAP:
-        raise DepthExceeded(f"count={count} exceeds depth cap {SYLVESTER_DEPTH_CAP}")
     m = _integer("m", m, 1)
     out = [m + 1]
-    for _ in range(count - 1):
+    _check_term("s_1", out[0].bit_length())
+    for n in range(2, count + 1):
         s = out[-1]
+        _check_term(f"s_{n}", 2 * s.bit_length() - 2, at_least=True)
         out.append(s * s - s + 1)
+        _check_term(f"s_{n}", out[-1].bit_length())
     return out
 
 
@@ -50,13 +48,15 @@ def fib_pow2_terms(count: int) -> list[int]:
     (phi psi)^m = (L_m^2 - 5 F_m^2)/4, which is 1 for even m as phi psi = -1,
     so 5 F_m^2 = L_m^2 - 4 and L_{2m} = L_m^2 - 2.  Every m = 2^n is even, so
     one pass (F, L) -> (F L, L^2 - 2) from (F_2, L_2) = (1, 3) yields them all.
+
+    Each F L is checked before it is formed too: it has >= bits(F) + bits(L) - 1 bits.
     """
     count = _integer("count", count, 1)
-    if count > FIB2_DEPTH_CAP:
-        raise DepthExceeded(f"count={count} exceeds depth cap {FIB2_DEPTH_CAP}")
     out, lucas = [1], 3  # F_2, L_2
-    for _ in range(count - 1):
+    for n in range(2, count + 1):
+        _check_term(f"F_{{2^{n}}}", out[-1].bit_length() + lucas.bit_length() - 1, at_least=True)
         out.append(out[-1] * lucas)
+        _check_term(f"F_{{2^{n}}}", out[-1].bit_length())
         # the L past the last term would cost as much as that term: skip it
         if len(out) < count:
             lucas = lucas * lucas - 2
@@ -93,9 +93,7 @@ def _log_bigint(n: int) -> float:
 
 def growth_constant(m: int, depth: int) -> GrowthEstimate:
     """Growth-constant estimate c_hat = s_depth(m)^(2^-depth) with error bound."""
-    depth = _integer("depth", depth)
-    if not 4 <= depth <= 16:
-        raise DepthExceeded(f"depth must be in [4, 16], got {depth}")
+    depth = _integer("depth", depth, 4, 16)
     m = _integer("m", m, 1)
     s = sylvester_terms(m, depth)[-1]
     ln_s = _log_bigint(s)

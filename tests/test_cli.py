@@ -13,7 +13,7 @@ from oracles import (
     expansion_csv, expansion_records, expansion_rows_str, expansion_table_cells, no_str_digit_limit,
 )
 
-from egyptfrac import cli, exactnum, expansion, sequences
+from egyptfrac import cli, exactnum, expansion
 from egyptfrac.cli import main
 
 
@@ -491,19 +491,23 @@ class TestSeqCommand:
         assert out == ""
         assert err == f"error[ValueError]: count must be >= 1, got {terms}\n"
 
-    @pytest.mark.parametrize("kind, cap_name", [
-        (["sylvester", "--m", "1"], "SYLVESTER_DEPTH_CAP"),
-        (["fib2"], "FIB2_DEPTH_CAP"),
-    ], ids=["sylvester", "fib2"])
-    @pytest.mark.parametrize("cap, terms", [(3, 4), (None, 25)], ids=["patched", "default"])
-    def test_count_over_cap_is_domain_error(self, capsys, monkeypatch, kind, cap_name, cap, terms):
-        if cap is not None:
-            monkeypatch.setattr(sequences, cap_name, cap)
-        code, out, err = run_cli(capsys, "seq", *kind, "--terms", str(terms), "--format", "csv")
+    # s_4 = 43 has 6 bits, so s_5 = 1807 (11 bits) has at least 2*6 - 2; F_16
+    # = 987 has 10 and L_16 = 2207 12, so F_32 (22 bits) has at least 10 + 12 - 1
+    @pytest.mark.parametrize("kind, cap, msg", [
+        (["sylvester", "--m", "1"], 6, "s_5 has at least 10 bits, past the term cap of 6 bits"),
+        (["fib2"], 10, "F_{2^5} has at least 21 bits, past the term cap of 10 bits"),
+        (["sylvester", "--m", "1"], 10, "s_5 has 11 bits, past the term cap of 10 bits"),
+        (["fib2"], 21, "F_{2^5} has 22 bits, past the term cap of 21 bits"),
+    ], ids=["patched-sylvester", "patched-fib2", "formed-sylvester", "formed-fib2"])
+    def test_count_over_cap_is_domain_error(self, capsys, monkeypatch, kind, cap, msg):
+        # a patched cap, so the suite never builds the ~12M-bit terms the
+        # default one admits: at the 4th term's size the 5th raises from its
+        # lower bound before it is formed; at that bound, once it is formed
+        monkeypatch.setattr(exactnum, "TERM_BIT_CAP", cap)
+        code, out, err = run_cli(capsys, "seq", *kind, "--terms", "5", "--format", "csv")
         assert code == 1
         assert out == ""
-        cap = getattr(sequences, cap_name)
-        assert err == f"error[DepthExceeded]: count={terms} exceeds depth cap {cap}\n"
+        assert err == f"error[DepthExceeded]: {msg}\n"
 
     def test_growth_table(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "growth", "--m", "1", "--depth", "8")
@@ -530,9 +534,9 @@ class TestSeqCommand:
         assert abs(float(row[2]) - 1.2640847) <= 1e-6 and float(row[3]) > 0
 
     def test_depth_error(self, capsys):
-        code, _, err = run_cli(capsys, "seq", "growth", "--m", "1", "--depth", "99")
+        code, _, err = run_cli(capsys, "seq", "growth", "--m", "1", "--depth", "3")
         assert code == 1
-        assert "DepthExceeded" in err
+        assert err == "error[ValueError]: depth must be in [4, 16], got 3\n"
 
 
 class TestWalkCommand:
@@ -666,6 +670,30 @@ class TestScanCommand:
         )[0] == 0
         rows = out_file.read_text().splitlines()
         assert rows[-1].split(",")[1] == "15"
+
+    @staticmethod
+    def group_lines(out_file, qs):
+        """The ``--verbose`` line of each q in ``qs``, from the pairs in the CSV."""
+        qcol = [l.split(",")[1] for l in out_file.read_text().splitlines()[1:]]
+        return [f"q={q}: {qcol.count(str(q))} pairs" for q in qs]
+
+    def test_verbose_prints_one_line_per_group(self, capsys, tmp_path):
+        out_file = tmp_path / "scan.csv"
+        code, _, err = run_cli(
+            capsys, "scan", "--qmin", "1", "--qmax", "12", "--maxiter", "100",
+            "--out", str(out_file), "--verbose",
+        )
+        assert code == 0
+        assert err.splitlines() == self.group_lines(out_file, range(1, 13))
+        assert "q=12: 4 pairs" in err  # 1, 5, 7 and 11 over 12
+
+    def test_verbose_resume_prints_fresh_groups_only(self, capsys, tmp_path):
+        out_file = tmp_path / "scan.csv"
+        args = ("scan", "--qmin", "1", "--maxiter", "100", "--out", str(out_file), "--verbose")
+        assert run_cli(capsys, *args, "--qmax", "10")[0] == 0
+        code, _, err = run_cli(capsys, *args, "--qmax", "15", "--resume")
+        assert code == 0
+        assert err.splitlines() == self.group_lines(out_file, range(11, 16))
 
     def test_resume_under_another_maxiter_is_domain_error(self, capsys, tmp_path):
         out_file = tmp_path / "scan.csv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egyptfrac import expansion
+from egyptfrac import exactnum, expansion
 from egyptfrac.errors import (
     DepthExceeded, NegativeBeta, NonPositiveInput, NotReduced, OddGreedyOnIrrational,
 )
@@ -152,7 +152,7 @@ class TestTermBitCap:
         # a term of exactly the cap is recorded, and the next, larger one
         # raises; a_5 has at least 2b - 1 - k bits when a_4 has b
         size = bits[4] if k is None else f"at least {2 * bits[3] - 1 - k}"
-        monkeypatch.setattr(expansion, "TERM_BIT_CAP", bits[3])
+        monkeypatch.setattr(exactnum, "TERM_BIT_CAP", bits[3])
         assert records(4) == want[:4]
         with pytest.raises(DepthExceeded, match=rf"^a_5 has {size} bits, past the term cap "
                                                 rf"of {bits[3]} bits$"):
@@ -169,7 +169,7 @@ class TestTermBitCap:
         bits = [rec.a.bit_length() for rec in want]
         bound = 2 * bits[3] - 1 - k
         assert bits[3] < bound < bits[4]
-        monkeypatch.setattr(expansion, "TERM_BIT_CAP", bound)
+        monkeypatch.setattr(exactnum, "TERM_BIT_CAP", bound)
         with pytest.raises(DepthExceeded, match=rf"^a_5 has {bits[4]} bits, past the term cap "
                                                 rf"of {bound} bits$"):
             expand(r, kind, 5)

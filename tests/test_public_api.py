@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import egyptfrac
-from egyptfrac import expansion, gapfast, randwalk, sequences
+from egyptfrac import exactnum, expansion, gapfast, randwalk, sequences
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # itself, not a TailDiagnosis, gapfast hosts no cross-check of itself
 # against exact arithmetic (gaps --method both and the tests compare them),
 # recover_sequence returns expand's records, not RecoveryRecord objects, and
-# F_{2^n} comes from fib_pow2_terms's one pass, not a general fib(n)
+# F_{2^n} comes from fib_pow2_terms's one pass, not a general fib(n), and
+# exactnum.TERM_BIT_CAP bounds every term, not a depth cap per family
 DELETED = (
     "rat_nearest_int",
     "quad_nearest_int",
@@ -38,6 +39,8 @@ DELETED = (
     "fib",
     "sylvester",
     "fib_pow2",
+    "SYLVESTER_DEPTH_CAP",
+    "FIB2_DEPTH_CAP",
 )
 
 MODULES = [
@@ -69,6 +72,12 @@ class TestPublicSurface:
     def test_no_depth_cap_keyword(self, call):
         with pytest.raises(TypeError):
             call()
+
+    def test_term_bit_cap_lives_in_exactnum_alone(self):
+        # a copy elsewhere would be a patch target that changes nothing
+        assert exactnum.TERM_BIT_CAP == 2**24
+        assert [m.__name__ for m in MODULES if hasattr(m, "TERM_BIT_CAP")] == [
+            "egyptfrac.exactnum"]
 
     def test_no_digit_limit_keyword(self):
         with pytest.raises(TypeError):

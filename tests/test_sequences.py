@@ -3,14 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from egyptfrac import sequences
+from egyptfrac import exactnum
 from egyptfrac.errors import DepthExceeded
-from egyptfrac.sequences import (
-    SYLVESTER_DEPTH_CAP,
-    fib_pow2_terms,
-    growth_constant,
-    sylvester_terms,
-)
+from egyptfrac.sequences import fib_pow2_terms, growth_constant, sylvester_terms
 
 from oracles import fib_additive
 
@@ -37,17 +32,29 @@ class TestSylvester:
             for n in range(1, 9):
                 assert sylvester_terms(m, n + 1)[-1] - 1 == m * math.prod(sylvester_terms(m, n))
 
-    def test_depth_cap(self):
-        with pytest.raises(DepthExceeded):
-            sylvester_terms(1, SYLVESTER_DEPTH_CAP + 1)
+    def test_depth_cap(self, monkeypatch):
+        # as in expand: a term of exactly TERM_BIT_CAP bits is returned, and
+        # the next one raises, named, from its bound 2b - 2 before it is formed
+        for m in (1, 4, 10**6):
+            want = sylvester_terms(m, 5)
+            bits = [s.bit_length() for s in want]
+            monkeypatch.setattr(exactnum, "TERM_BIT_CAP", bits[3])
+            assert sylvester_terms(m, 4) == want[:4]
+            with pytest.raises(DepthExceeded, match=rf"^s_5 has at least {2 * bits[3] - 2} bits, "
+                                                    rf"past the term cap of {bits[3]} bits$"):
+                sylvester_terms(m, 5)
+            monkeypatch.undo()
 
     def test_depth_cap_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(sequences, "SYLVESTER_DEPTH_CAP", 3)
-        monkeypatch.setattr(sequences, "FIB2_DEPTH_CAP", 3)
-        assert sylvester_terms(1, 3) == [2, 3, 7]
-        for call in (lambda: sylvester_terms(1, 4), lambda: fib_pow2_terms(4)):
-            with pytest.raises(DepthExceeded, match="exceeds depth cap 3"):
-                call()
+        # the cap bounds m, not only the index: s_1(2^40) has 41 bits, so s_2
+        # has at least 80, past a 64-bit cap; so has s_1(2^64)
+        monkeypatch.setattr(exactnum, "TERM_BIT_CAP", 64)
+        assert sylvester_terms(2**40, 1) == [2**40 + 1]
+        with pytest.raises(DepthExceeded, match=r"^s_2 has at least 80 bits, past the term cap "
+                                                r"of 64 bits$"):
+            sylvester_terms(2**40, 3)
+        with pytest.raises(DepthExceeded, match=r"^s_1 has 65 bits, past the term cap of 64 bits$"):
+            sylvester_terms(2**64, 1)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -88,9 +95,17 @@ class TestFibPow2:
         for n in range(1, 13):
             assert fib_pow2_terms(n)[-1] == terms[n - 1]
 
-    def test_depth_cap(self):
-        with pytest.raises(DepthExceeded):
-            fib_pow2_terms(25)
+    def test_depth_cap(self, monkeypatch):
+        # a term of exactly the cap is returned; F_{2^5} = F_{2^4} L_{2^4}
+        # raises from its bound bits(F) + bits(L) - 1 before it is formed
+        want = fib_pow2_terms(5)
+        bits = [f.bit_length() for f in want]
+        bound = bits[3] + (want[4] // want[3]).bit_length() - 1
+        monkeypatch.setattr(exactnum, "TERM_BIT_CAP", bits[3])
+        assert fib_pow2_terms(4) == want[:4]
+        with pytest.raises(DepthExceeded, match=rf"^F_{{2\^5}} has at least {bound} bits, "
+                                                rf"past the term cap of {bits[3]} bits$"):
+            fib_pow2_terms(5)
 
     def test_ratio_bound(self):
         # 3*F_{2^n}^2 <= 2*F_{2^{n+1}}, the exact form of F^2/F' <= 2/3
@@ -140,7 +155,29 @@ class TestGrowthConstant:
         assert abs(c8 - c12) <= bound + 1e-15  # float noise floor
 
     def test_depth_range(self):
-        with pytest.raises(DepthExceeded):
-            growth_constant(1, 3)
-        with pytest.raises(DepthExceeded):
-            growth_constant(1, 17)
+        # the integer-argument rule's ValueError: DepthExceeded means a term
+        # past the term cap only
+        for depth in (3, 17):
+            with pytest.raises(ValueError, match=rf"^depth must be in \[4, 16\], got {depth}$") as info:
+                growth_constant(1, depth)
+            assert type(info.value) is ValueError
+
+    def test_m_past_the_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(exactnum, "TERM_BIT_CAP", 64)
+        with pytest.raises(DepthExceeded, match=r"^s_2 has at least 80 bits"):
+            growth_constant(2**40, 4)
+
+
+class TestTermBitCap:
+    """Both families check each term before it is formed, from a lower bound
+    on its size; tests/test_cli.py checks the messages of both checks."""
+
+    def test_lower_bounds_hold(self):
+        # s^2 - s + 1 has at least 2b - 2 bits for a b-bit s; F L at least
+        # bits(F) + bits(L) - 1, with L = F_{2^(n+1)} / F_{2^n}
+        for m in range(1, 60):
+            s = sylvester_terms(m, 7)
+            assert all(b.bit_length() >= 2 * a.bit_length() - 2 for a, b in zip(s, s[1:])), m
+        f = fib_pow2_terms(12)
+        for a, b in zip(f, f[1:]):
+            assert b.bit_length() >= a.bit_length() + (b // a).bit_length() - 1
