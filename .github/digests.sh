@@ -39,6 +39,12 @@ check growth-table 95efc40183ef0e27964e595057059a7104dd1f0e54bad36a65a16d94b4244
 egyptfrac seq sylvester --m 2 --terms 8 > "$tmp/sylvester-table"
 check sylvester-table e58da22cb6227722e705bdad98b4963999d9143ac608f7e63c288b236cc37814
 
+# the growth estimate's JSON keys come from its record's fields, in order;
+# the scan summary is pinned by the benchmark, the walk JSON by the workflow's
+# full-size walk digests
+egyptfrac seq growth --m 1 --depth 8 --format json > "$tmp/growth-json"
+check growth-json a160cce42a32b8b4e5b81ca0650aac6a456980a73d38706fd59600c8f733da7e
+
 # no benchmark digest pins seq; F_{2^24} (11.6M bits) takes the big-integer
 # products and the decimal conversion to full size
 egyptfrac seq fib2 --terms 24 --format csv > "$tmp/fib2"

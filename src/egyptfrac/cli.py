@@ -255,8 +255,6 @@ def _cmd_gaps(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    import dataclasses
-
     def progress(q, rows):
         for p, _, _, _, _, status, _ in rows:
             if status == "MAXITER":
@@ -276,7 +274,7 @@ def _cmd_scan(args) -> int:
         resume=args.resume,
         progress=progress,
     )
-    payload = dataclasses.asdict(summary)
+    payload = summary._asdict()
     payload["wall_time_s"] = round(summary.wall_time_s, 3)
     print(json.dumps(payload))
     return 0
@@ -318,12 +316,10 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    import dataclasses
-
     from . import sequences
 
     if args.seq_kind == "growth":
-        est = dataclasses.asdict(sequences.growth_constant(args.m, args.depth))
+        est = sequences.growth_constant(args.m, args.depth)._asdict()
         _emit(args.format, list(est), [est], lambda: (
             f"c_hat(m={est['m']}, depth={est['depth']}) = {est['c_hat']}"
             f"  (|error| <= {est['residual_bound']})"
@@ -342,8 +338,6 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_walk(args) -> int:
-    import dataclasses
-
     # walk calls no BLAS routine, but OpenBLAS starts a spinning worker per
     # extra core when numpy loads; ask for none, for this first import only,
     # unless the user chose a number.  numpy loads through randwalk, as in
@@ -364,7 +358,7 @@ def _cmd_walk(args) -> int:
                     fh.write(f"{i},{h if h >= 0 else ''}\n")
         except OSError as exc:
             raise IoError(f"cannot write hitting times to {args.hits_out}: {exc}") from exc
-    print(json.dumps(dataclasses.asdict(stats)))
+    print(json.dumps(stats._asdict()))
     return 0
 
 

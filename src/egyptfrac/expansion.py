@@ -39,7 +39,6 @@ So each row costs one ``Decimal`` multiplication and short exact divisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -82,8 +81,7 @@ class ExpansionStatus(Enum):
     MAX_TERMS = "max_terms"  # term budget exhausted with no exact end
 
 
-@dataclass(frozen=True)
-class ExpansionRecord:
+class ExpansionRecord(NamedTuple):
     """One expansion step: term ``a``, remainder ``x`` before the step.
 
     A pseudo-greedy record has the gap ``eps`` = 1/x + beta - a; greedy and
@@ -101,8 +99,7 @@ class ExpansionRecord:
     e: int | None = None
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     kind: ExpansionKind
     records: list[ExpansionRecord]
     status: ExpansionStatus

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MissingDependency
 from .exactnum import _integer
@@ -53,8 +53,7 @@ _SLAB_SAMPLES = 1 << 15
 __all__ = ["GENERATOR_ID", "WalkStats", "analytic_drift", "run_walks"]
 
 
-@dataclass(frozen=True)
-class WalkStats:
+class WalkStats(NamedTuple):
     """Summary of a batch of multiplicative random walks.
 
     ``mean_log_t``/``stderr_log_t`` aggregate every step actually taken

@@ -27,8 +27,8 @@ by its own loop, a route separate from the walk: it rounds each
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import SumExceeds
 from .exactnum import QuadraticValue, _exact, _integer, nearest_int, sign_of
@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharacterizationCheck:
+class CharacterizationCheck(NamedTuple):
     """Per-index report for a candidate sequence against a reciprocal sum.
 
     ``threshold_met`` is a_n >= threshold(beta) and nothing more: the

@@ -43,12 +43,12 @@ import re
 import time
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice
 from math import ceil
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorruptCheckpoint, IoError
 from .exactnum import _integer
@@ -68,8 +68,7 @@ _INT = rb"[1-9][0-9]*"
 _CHUNKS_PER_JOB = 8
 
 
-@dataclass(frozen=True)
-class ScanSummary:
+class ScanSummary(NamedTuple):
     q_min: int
     q_max: int
     pairs_total: int

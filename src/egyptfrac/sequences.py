@@ -10,7 +10,7 @@ first term past it raises DepthExceeded once the terms before it are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactnum import _check_term, _integer
 
@@ -63,8 +63,7 @@ def fib_pow2_terms(count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(NamedTuple):
     """Estimate of the constant c(m) with s_n(m) ~ c(m)^(2^n).
 
     ``c_hat`` is exp(2^-depth * ln s_depth(m)), a float printed to 12

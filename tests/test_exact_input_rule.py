@@ -7,7 +7,6 @@ must give the result of its exact form, type for type, and no float may
 reach a returned record.
 """
 
-import dataclasses
 from decimal import Decimal
 from fractions import Fraction
 
@@ -47,11 +46,9 @@ INPUTS = {
 
 
 def leaves(value):
-    """Every scalar inside a result: dataclass fields and list items, recursively."""
-    if dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from leaves(getattr(value, field.name))
-    elif isinstance(value, list):
+    """Every scalar inside a result: tuple (a record's fields included) and
+    list items, recursively."""
+    if isinstance(value, (list, tuple)):
         for item in value:
             yield from leaves(item)
     else:
@@ -66,3 +63,12 @@ def test_given_form_matches_exact_form(entry, given, exact):
     # QuadraticValue, equal as numbers, do not pass for each other
     assert repr(got) == repr(entry(exact))
     assert not [leaf for leaf in leaves(got) if isinstance(leaf, float)]
+
+
+def test_leaves_look_inside_records():
+    got = expand(Fraction(11, 29), ExpansionKind.PSEUDO_GREEDY, 6)
+    want = [got.kind,
+            *(v for r in got.records for v in (r.n, r.a, r.x, r.eps, r.c, r.d, r.e)),
+            got.status, got.zero_gap_at]
+    assert len(want) == 45
+    assert list(leaves(got)) == want

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -352,7 +351,7 @@ class TestDecimalRowsGuard:
     def test_raised_a_names_the_next_row(self, kind, row):
         records = expand(Fraction(5, 121), kind, 6).records  # 5 greedy terms
         doctored = list(records)
-        doctored[row - 1] = replace(records[row - 1], a=records[row - 1].a + 1)
+        doctored[row - 1] = records[row - 1]._replace(a=records[row - 1].a + 1)
         rows = expansion._decimal_rows(doctored)
         for _ in range(row):
             next(rows)  # each row up to the doctored one prints as recorded
@@ -362,7 +361,7 @@ class TestDecimalRowsGuard:
     def test_wrong_d_names_its_row(self):
         records = expand(Fraction(185, 358), ExpansionKind.PSEUDO_GREEDY, 6).records
         doctored = list(records)
-        doctored[3] = replace(records[3], d=records[3].d + 1)
+        doctored[3] = records[3]._replace(d=records[3].d + 1)
         with pytest.raises(AssertionError, match=r"^row 4: the decimal d "):
             list(expansion._decimal_rows(doctored))
 

@@ -7,7 +7,6 @@ whose message starts with the argument's name.  A value below the
 argument's lower bound is a ValueError that names it.
 """
 
-import dataclasses
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +39,7 @@ def scan(q_min=1, q_max=4, n_max=20, jobs=1):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "scan.csv"
         summary = scan_conjecture(q_min, q_max, n_max, out, jobs=jobs)
-        return dataclasses.replace(summary, wall_time_s=0.0), out.read_bytes()
+        return summary._replace(wall_time_s=0.0), out.read_bytes()
 
 
 # id: (argument name, lowest valid value or None, call with that argument set)
@@ -83,12 +82,9 @@ ONE_IS_VALID = {k: v for k, v in ENTRY_POINTS.items() if (v[1] or 0) <= 1}
 
 
 def leaves(value):
-    """Every scalar inside a result: dataclass fields, tuple, list and dict
-    items, recursively."""
-    if dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from leaves(getattr(value, field.name))
-    elif isinstance(value, (list, tuple)):
+    """Every scalar inside a result: tuple (a record's fields included), list
+    and dict items, recursively."""
+    if isinstance(value, (list, tuple)):
         for item in value:
             yield from leaves(item)
     elif isinstance(value, dict):

@@ -92,6 +92,34 @@ class TestPublicSurface:
             gapfast.gap_sequence_fast(11, 29, 5, fully_modular=True)
 
 
+# every result type, with its fields in order and their defaults: one
+# immutable named-tuple idiom
+RECORDS = {
+    "GapTrace": ("p", "q", "c", "e", "terminated", "n0", "steps"),
+    "GapStep": ("c", "e", "eps"),
+    "ScanSummary": ("q_min", "q_max", "pairs_total", "pairs_zero", "pairs_maxiter",
+                    "n0_histogram", "max_c", "wall_time_s"),
+    "ExpansionRecord": ("n", "a", "x", "eps", "c", "d", "e"),
+    "Expansion": ("kind", "records", "status", "zero_gap_at"),
+    "CharacterizationCheck": ("n", "a", "delta", "threshold_met", "formula_ok"),
+    "GrowthEstimate": ("m", "depth", "c_hat", "residual_bound"),
+    "WalkStats": ("trials", "steps", "c0", "mean_log_t", "stderr_log_t", "hit_fraction",
+                  "mean_hit_time", "seed", "generator_id"),
+}
+DEFAULTS = {
+    "ExpansionRecord": {"eps": None, "c": None, "d": None, "e": None},
+    "WalkStats": {"generator_id": "splitmix64-mix-v1"},
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_result_types_are_named_tuples(name):
+    cls = getattr(egyptfrac, name)
+    assert issubclass(cls, tuple)
+    assert cls._fields == RECORDS[name]
+    assert cls._field_defaults == DEFAULTS.get(name, {})
+
+
 # spans (and counters) that each traced command must record at least once
 _TRACED = [
     pytest.param(

@@ -1,5 +1,6 @@
 """numpy is the optional ``walk`` extra: every other command runs without it,
-and a scan with one job does not load multiprocessing either.
+a scan with one job does not load multiprocessing either, and no command
+loads dataclasses.
 
 Each test runs a fresh interpreter, because this test session has already
 imported numpy.
@@ -61,6 +62,29 @@ def test_core_commands_leave_numpy_unloaded(tmp_path):
     assert result["pool_loaded"] is False
     assert result["walk_names"] == ["'splitmix64-mix-v1'", "WalkStats", "analytic_drift"]
     assert result["missing"] == "module 'egyptfrac' has no attribute 'no_such_name'"
+
+
+def test_core_commands_leave_dataclasses_unloaded(tmp_path):
+    # every result is a named tuple; dataclasses would pull in inspect, ast,
+    # dis and tokenize at the start-up of every command
+    result = run_python(tmp_path, """
+        import contextlib, io, json, sys
+        import egyptfrac.cli
+
+        argvs = [
+            ["scan", "--qmin", "1", "--qmax", "12", "--maxiter", "100", "--out", "scan.csv",
+             "--jobs", "1"],
+            ["expand", "--r", "11/29", "--kind", "pseudo", "--terms", "6"],
+            ["recover", "--sum", "(5-1 sqrt 5)/2", "--beta", "1/3", "--terms", "4"],
+            ["gaps", "--r", "11/29", "--terms", "10", "--method", "both"],
+            ["seq", "growth", "--m", "1", "--depth", "8"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [egyptfrac.cli.main(argv) for argv in argvs]
+        print(json.dumps({"codes": codes, "loaded": [
+            m for m in ("dataclasses", "inspect") if m in sys.modules]}))
+    """)
+    assert result == {"codes": [0, 0, 0, 0, 0], "loaded": []}
 
 
 def test_without_numpy_only_walk_fails(tmp_path):
