@@ -127,19 +127,20 @@ def _pretty(value) -> str:
 def _cmd_expand(args) -> int:
     from fractions import Fraction
 
-    from .expansion import DEFAULT_DIGIT_CAP, ExpansionKind, ExpansionStatus, _decimal_rows
+    from .exactnum import _integer
+    from .expansion import ExpansionKind, ExpansionStatus, _decimal_rows
 
+    digit_cap = _integer("digit_cap", args.digit_cap, 1)
     result = expand(
         args.r,
         ExpansionKind[_KINDS[args.kind]],
         args.terms,
-        digit_cap=DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap,
         stop_at_first_zero=args.stop_at_zero,
     )
     records = result.records
     # (a, u, v, d) per record, x = u/v; a quadratic x comes whole as u
     if isinstance(records[0].x, Fraction):
-        texts = _decimal_rows(records)
+        texts = _decimal_rows(records, digit_cap)
     else:
         texts = ((int_to_decimal_str(rec.a), format_value(rec.x), None, None) for rec in records)
 
@@ -374,16 +375,6 @@ def _add_format(sub, default="table"):
     )
 
 
-class _ExpandHelp(argparse.HelpFormatter):
-    """Writes ``expansion.DEFAULT_DIGIT_CAP`` into ``expand --help`` when the
-    help is shown, so that building the parser does not import expansion."""
-
-    def _get_help_string(self, action):
-        from .expansion import DEFAULT_DIGIT_CAP
-
-        return action.help.replace("DEFAULT_DIGIT_CAP", str(DEFAULT_DIGIT_CAP))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egyptfrac",
@@ -392,14 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_expand = sub.add_parser("expand", help="unit-fraction expansion of an exact value",
-                              formatter_class=_ExpandHelp)
+    p_expand = sub.add_parser("expand", help="unit-fraction expansion of an exact value")
     p_expand.add_argument("--r", type=parse_value, required=True, metavar="VALUE",
                           help="exact value, e.g. 11/29 or '(5-1 sqrt 5)/2'")
     p_expand.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p_expand.add_argument("--terms", type=int, required=True, metavar="N")
-    p_expand.add_argument("--digit-cap", type=int, default=None, metavar="K",
-                          help="omit d beyond K decimal digits (default DEFAULT_DIGIT_CAP)")
+    p_expand.add_argument("--digit-cap", type=int, default=10**4, metavar="K",
+                          help="omit d beyond K decimal digits (default %(default)s)")
     p_expand.add_argument("--stop-at-zero", action="store_true",
                           help="truncate a rational pseudo-greedy stream at the first zero gap")
     _add_format(p_expand)

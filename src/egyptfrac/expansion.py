@@ -31,8 +31,8 @@ small one, so linear), every kind of expansion satisfies:
   g = gcd(-r_n, v_n*a_n) >= 1 the lowest terms of -r_n/(v_n*a_n) are
   (-r_n/g)/(v_n*a_n/g).  So u_{n+1} = -r_n/g, hence k_n = g, and
   v_{n+1} = v_n*a_n/g;
-- a shown pseudo-greedy d_n is v_n*c_n/u_n, since c_n/d_n = u_n/v_n, and
-  the division is exact as u_n/v_n is in lowest terms.
+- a pseudo-greedy d_n is v_n*c_n/u_n, since c_n/d_n = u_n/v_n, and the
+  division is exact as u_n/v_n is in lowest terms.
 
 So each row costs one ``Decimal`` multiplication and short exact divisions.
 """
@@ -53,11 +53,9 @@ from .exactnum import (
     decimal_digits, nearest_int, sign_of,
 )
 
-DEFAULT_DIGIT_CAP = 10**4
 NAIVE_DIGIT_LIMIT = 10**5
 
 __all__ = [
-    "DEFAULT_DIGIT_CAP",
     "NAIVE_DIGIT_LIMIT",
     "ExpansionKind",
     "ExpansionStatus",
@@ -85,9 +83,9 @@ class ExpansionRecord(NamedTuple):
     """One expansion step: term ``a``, remainder ``x`` before the step.
 
     A pseudo-greedy record has the gap ``eps`` = 1/x + beta - a; greedy and
-    odd-greedy records have None.  Over rationals at beta = 1 the unreduced
-    bookkeeping ``c``, ``d``, ``e`` is present too (``d`` is omitted once its
-    decimal length exceeds the digit cap); otherwise it is None.
+    odd-greedy records have None.  Over rationals at beta = 1 the exact
+    unreduced bookkeeping ``c``, ``d``, ``e`` is present too, all three or
+    none; otherwise each is None.
     """
 
     n: int
@@ -119,7 +117,7 @@ def expand(
     r,
     kind: ExpansionKind,
     max_terms: int,
-    digit_cap: int = DEFAULT_DIGIT_CAP,
+    *,
     stop_at_first_zero: bool = False,
     beta=1,
 ) -> Expansion:
@@ -130,7 +128,9 @@ def expand(
     :class:`~egyptfrac.errors.NegativeBeta`, and a ``beta`` other than 1 for
     another kind raises ``ValueError``.  Emits up to ``max_terms`` records;
     greedy expansions of rationals stop early when the remainder hits 0
-    exactly.  For rational pseudo-greedy at beta = 1,
+    exactly.  A rational pseudo-greedy record at beta = 1 holds the exact
+    bookkeeping ``c``, ``d``, ``e``, however many digits ``d`` has; which
+    ``d`` to print is the caller's choice.  For such a run,
     ``stop_at_first_zero`` truncates the stream at the first zero gap (the
     rest of the gap sequence is zero by persistence); by default the stream
     runs to the full term budget.  Any other run keeps no gap bookkeeping,
@@ -167,7 +167,6 @@ def expand(
     if not isinstance(kind, ExpansionKind):
         raise ValueError(f"unknown expansion kind {kind!r}")
     max_terms = _integer("max_terms", max_terms, 1)
-    digit_cap = _integer("digit_cap", digit_cap, 1)
     if sign_of(r) <= 0:
         raise NonPositiveInput(f"expansion requires r > 0, got {r}")
     beta = _offset(beta)
@@ -208,8 +207,7 @@ def expand(
 
         if pseudo_book:
             e = d - (a - 1) * c
-            shown_d = d if decimal_digits(d) <= digit_cap else None
-            records.append(ExpansionRecord(n=n, a=a, x=x, eps=y - a, c=c, d=shown_d, e=e))
+            records.append(ExpansionRecord(n=n, a=a, x=x, eps=y - a, c=c, d=d, e=e))
             if e == 0 and zero_gap_at is None:
                 zero_gap_at = n
                 if stop_at_first_zero:
@@ -241,10 +239,11 @@ def expand(
 _CHECK_MODULUS = 2**61 - 1
 
 
-def _decimal_rows(records: list[ExpansionRecord]):
+def _decimal_rows(records: list[ExpansionRecord], digit_cap: int):
     """Yield ``(a, u, v, d)``, the decimal text of each record of a rational
-    expansion, with x = u/v in lowest terms and d None where the record has
-    none.
+    expansion, with x = u/v in lowest terms.  d is None where the record has
+    none or where it has more than ``digit_cap`` decimal digits: the cap
+    decides only what is printed, never what a record holds.
 
     Only the first row's v is converted from binary; later rows follow from
     the row before by the identities of the module docstring, in a context
@@ -285,7 +284,7 @@ def _decimal_rows(records: list[ExpansionRecord]):
         a_dec = exact_divide(n, "a", ctx.subtract(v_dec, _int_to_decimal(r)), u_dec)
         check(n, "a", a_dec, rec.a)
         d_text = None
-        if rec.d is not None:
+        if rec.d is not None and decimal_digits(rec.d) <= digit_cap:
             d_dec = exact_divide(n, "d", ctx.multiply(v_dec, _int_to_decimal(rec.c)), u_dec)
             check(n, "d", d_dec, rec.d)
             d_text = str(d_dec)

@@ -13,6 +13,9 @@ Run as a script, it prints the CSV of a rational expansion from ``str()``,
 for comparison with ``egyptfrac expand ... --format csv``::
 
     python3 tests/oracles.py --r 185/358 --kind pseudo --terms 20 [--digit-cap K]
+
+It decides which ``d`` to print by itself: ``d`` shows only when
+``d < 10**K``, with K = ``DIGIT_CAP`` unless given.
 """
 
 import sys
@@ -254,12 +257,20 @@ def no_str_digit_limit():
             sys.set_int_max_str_digits(limit)
 
 
-def expansion_rows_str(records) -> list[dict]:
+# the default of ``expand --digit-cap``, written out rather than read from
+# the package
+DIGIT_CAP = 10**4
+
+
+def expansion_rows_str(records, digit_cap: int = DIGIT_CAP) -> list[dict]:
     """The ``expand`` rows of rational records, every int printed by ``str()``.
 
     The same keys as the CLI's json rows: a missing value is None, and a
-    rational prints as ``num/den``.
+    rational prints as ``num/den``.  A ``d`` of more than ``digit_cap``
+    decimal digits, that is one with ``d >= 10**digit_cap``, is None too.
     """
+    bound = 10**digit_cap
+
     def text(value):
         if value is None:
             return None
@@ -270,7 +281,8 @@ def expansion_rows_str(records) -> list[dict]:
     with no_str_digit_limit():
         return [
             {"n": rec.n, "a": text(rec.a), "x": text(rec.x), "c": text(rec.c),
-             "d": text(rec.d), "e": text(rec.e), "eps": text(rec.eps)}
+             "d": text(rec.d) if rec.d is not None and rec.d < bound else None,
+             "e": text(rec.e), "eps": text(rec.eps)}
             for rec in records
         ]
 
@@ -297,17 +309,16 @@ def expansion_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def expansion_records(r, kind: str, terms: int, digit_cap: int | None = None) -> list:
+def expansion_records(r, kind: str, terms: int) -> list:
     """The records behind ``egyptfrac expand --r R --kind KIND --terms N``
     for a rational R, given as a Fraction or as ``P/Q`` text."""
-    from egyptfrac.expansion import DEFAULT_DIGIT_CAP, ExpansionKind, expand
+    from egyptfrac.expansion import ExpansionKind, expand
 
     kinds = {"greedy": "GREEDY", "odd": "ODD_GREEDY", "pseudo": "PSEUDO_GREEDY"}
     if isinstance(r, str):
         num, _, den = r.partition("/")
         r = Fraction(int(num), int(den or 1))
-    return expand(r, ExpansionKind[kinds[kind]], terms,
-                  digit_cap=DEFAULT_DIGIT_CAP if digit_cap is None else digit_cap).records
+    return expand(r, ExpansionKind[kinds[kind]], terms).records
 
 
 if __name__ == "__main__":
@@ -318,8 +329,8 @@ if __name__ == "__main__":
     parser.add_argument("--r", required=True)
     parser.add_argument("--kind", choices=("greedy", "odd", "pseudo"), required=True)
     parser.add_argument("--terms", type=int, required=True)
-    parser.add_argument("--digit-cap", type=int, default=None)
+    parser.add_argument("--digit-cap", type=int, default=DIGIT_CAP)
     args = parser.parse_args()
     with no_str_digit_limit():
-        records = expansion_records(args.r, args.kind, args.terms, args.digit_cap)
-    sys.stdout.write(expansion_csv(expansion_rows_str(records)))
+        records = expansion_records(args.r, args.kind, args.terms)
+    sys.stdout.write(expansion_csv(expansion_rows_str(records, args.digit_cap)))

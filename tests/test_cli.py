@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 from oracles import (
-    expansion_csv, expansion_records, expansion_rows_str, expansion_table_cells, no_str_digit_limit,
+    DIGIT_CAP, expansion_csv, expansion_records, expansion_rows_str, expansion_table_cells,
+    no_str_digit_limit,
 )
 
 from egyptfrac import cli, exactnum, expansion
@@ -141,6 +142,43 @@ class TestExpandCommand:
         rows = [json.loads(l) for l in out.strip().splitlines()]
         assert rows[0]["d"] == "29" and rows[3]["d"] is None
 
+    @pytest.mark.parametrize("cap, shown", [("3437", True), ("3436", False)])
+    def test_digit_cap_boundary(self, capsys, monkeypatch, cap, shown):
+        # 185/358's d_14 has exactly 3,437 digits.  The records hold every d,
+        # d_17's 27,472 digits included, and the flag alone decides which d
+        # is printed
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(expansion.expand(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "expand", spy)
+        code, out, _ = run_cli(
+            capsys, "expand", "--r", "185/358", "--kind", "pseudo", "--terms", "17",
+            "--digit-cap", cap, "--format", "json",
+        )
+        assert code == 0
+        [records] = [result.records for result in results]
+        assert all(rec.d is not None for rec in records)
+        with no_str_digit_limit():
+            want = [str(rec.d) for rec in records]
+        assert len(want[13]) == 3437
+        got = [json.loads(line)["d"] for line in out.splitlines()]
+        assert got == [d if len(d) <= int(cap) else None for d in want]
+        assert (got[13] is not None) is shown
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_digit_cap_below_one_stops_before_expand(self, capsys, monkeypatch, cap):
+        calls = []
+        monkeypatch.setattr(cli, "expand", lambda *a, **k: calls.append((a, k)))
+        code, out, err = run_cli(
+            capsys, "expand", "--r", "185/358", "--kind", "pseudo", "--terms", "20",
+            "--digit-cap", cap,
+        )
+        assert (code, out, calls) == (1, "", [])
+        assert err == f"error[ValueError]: digit_cap must be >= 1, got {cap}\n"
+
     @pytest.mark.parametrize("value", ["lots", "3"])
     def test_digit_cap_comes_from_the_flag_alone(self, capsys, monkeypatch, value):
         argv = ["expand", "--r", "11/29", "--kind", "pseudo", "--terms", "6", "--format", "json"]
@@ -161,8 +199,8 @@ class TestExpandCommand:
                        "past the term cap of 16777216 bits\n")
 
 
-def oracle_rows(r, kind, terms, digit_cap=None):
-    return expansion_rows_str(expansion_records(r, kind, terms, digit_cap))
+def oracle_rows(r, kind, terms, digit_cap=DIGIT_CAP):
+    return expansion_rows_str(expansion_records(r, kind, terms), digit_cap)
 
 
 class TestExpandRowsMatchStrOracle:
@@ -778,7 +816,7 @@ class TestUsageErrors:
         assert "argument --r: invalid " in err and f"value: {text!r}" in err
 
     def test_expand_help(self, capsys, monkeypatch):
-        # DEFAULT_DIGIT_CAP is written in when the help is shown
+        # argparse writes the --digit-cap default into the help
         monkeypatch.setenv("COLUMNS", "80")
         code, out, _ = run_cli(capsys, "expand", "--help")
         assert code == 0

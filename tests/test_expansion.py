@@ -205,8 +205,6 @@ class TestExpandValidation:
     def test_bad_budgets(self):
         with pytest.raises(ValueError):
             expand(Fraction(1, 2), ExpansionKind.GREEDY, 0)
-        with pytest.raises(ValueError):
-            expand(Fraction(1, 2), ExpansionKind.GREEDY, 3, digit_cap=0)
 
     def test_negative_beta(self):
         with pytest.raises(NegativeBeta, match="beta must be >= 0"):
@@ -237,12 +235,15 @@ class TestExpandValidation:
         with pytest.raises(ValueError, match="^stop_at_first_zero needs"):
             expand(r, kind, 3, stop_at_first_zero=True, beta=beta)
 
-    def test_digit_cap_omits_d(self):
-        res = pseudo(Fraction(11, 29), 6, digit_cap=3)
-        ds = [r.d for r in res.records]
-        assert ds[0] == 29 and ds[1] == 116
-        assert ds[3] is None  # 58464 has 5 digits
-        assert all(r.c is not None and r.e is not None for r in res.records)
+    def test_every_record_keeps_its_exact_d(self):
+        # d_n = 358 * a_1 * ... * a_{n-1}; d_20 has 219,751 digits, and how
+        # many of them to print is the CLI's rule, not the record's
+        records = pseudo(Fraction(185, 358), 20).records
+        assert len(records) == 20
+        d = 358
+        for rec in records:
+            assert rec.d == d and rec.c is not None and rec.e is not None
+            d *= rec.a
 
 
 def random_reduced(rng, hi):
@@ -289,7 +290,7 @@ class TestPseudoGreedyInvariants:
         rng = random.Random(10)
         for _ in range(40):
             r = random_reduced(rng, 10**4)
-            recs = pseudo(r, 9, digit_cap=10**6).records
+            recs = pseudo(r, 9).records
             assert recs[0].c == r.numerator and recs[0].d == r.denominator
             for r1, r2 in zip(recs, recs[1:]):
                 assert r2.c == r1.c - r1.e
@@ -352,7 +353,7 @@ class TestDecimalRowsGuard:
         records = expand(Fraction(5, 121), kind, 6).records  # 5 greedy terms
         doctored = list(records)
         doctored[row - 1] = records[row - 1]._replace(a=records[row - 1].a + 1)
-        rows = expansion._decimal_rows(doctored)
+        rows = expansion._decimal_rows(doctored, 10**4)
         for _ in range(row):
             next(rows)  # each row up to the doctored one prints as recorded
         with pytest.raises(AssertionError, match=rf"^row {row + 1}: "):
@@ -363,11 +364,11 @@ class TestDecimalRowsGuard:
         doctored = list(records)
         doctored[3] = records[3]._replace(d=records[3].d + 1)
         with pytest.raises(AssertionError, match=r"^row 4: the decimal d "):
-            list(expansion._decimal_rows(doctored))
+            list(expansion._decimal_rows(doctored, 10**4))
 
     def test_faithful_records_render_as_str(self):
         records = expand(Fraction(185, 358), ExpansionKind.PSEUDO_GREEDY, 12).records
-        assert list(expansion._decimal_rows(records)) == [
+        assert list(expansion._decimal_rows(records, 10**4)) == [
             (str(rec.a), str(rec.x.numerator), str(rec.x.denominator), str(rec.d))
             for rec in records
         ]
@@ -425,6 +426,6 @@ class TestGapSequenceNaive:
             p = rng.randint(1, 10**4)
             f = Fraction(p, q)
             steps = gap_sequence_naive(f.numerator, f.denominator, 8)
-            recs = pseudo(f, 8, digit_cap=10**6).records
+            recs = pseudo(f, 8).records
             for s, rec in zip(steps, recs):
                 assert (s.c, s.e, s.eps) == (rec.c, rec.e, rec.eps)

@@ -46,8 +46,6 @@ def scan(q_min=1, q_max=4, n_max=20, jobs=1):
 ENTRY_POINTS = {
     "expand-max_terms": ("max_terms", 1, lambda v: expand(
         Fraction(11, 29), ExpansionKind.PSEUDO_GREEDY, v)),
-    "expand-digit_cap": ("digit_cap", 1, lambda v: expand(
-        Fraction(11, 29), ExpansionKind.PSEUDO_GREEDY, 6, v)),
     "gap_sequence_naive-p": ("p", 1, lambda v: gap_sequence_naive(v, 29, 8)),
     "gap_sequence_naive-q": ("q", 1, lambda v: gap_sequence_naive(11, v, 8)),
     "gap_sequence_naive-max_terms": ("max_terms", 1, lambda v: gap_sequence_naive(11, 29, v)),

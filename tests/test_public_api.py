@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # against exact arithmetic (gaps --method both and the tests compare them),
 # recover_sequence returns expand's records, not RecoveryRecord objects, and
 # F_{2^n} comes from fib_pow2_terms's one pass, not a general fib(n), and
-# exactnum.TERM_BIT_CAP bounds every term, not a depth cap per family
+# exactnum.TERM_BIT_CAP bounds every term, not a depth cap per family, and
+# the digit cap of expand's d is a CLI default, not an expansion constant
 DELETED = (
     "rat_nearest_int",
     "quad_nearest_int",
@@ -41,6 +43,7 @@ DELETED = (
     "fib_pow2",
     "SYLVESTER_DEPTH_CAP",
     "FIB2_DEPTH_CAP",
+    "DEFAULT_DIGIT_CAP",
 )
 
 MODULES = [
@@ -86,6 +89,17 @@ class TestPublicSurface:
     def test_no_block_keyword(self):
         with pytest.raises(TypeError):
             randwalk.run_walks(50.0, 30, 20, 9, block=7)
+
+    @pytest.mark.parametrize("call", [
+        lambda: expansion.expand(Fraction(11, 29), expansion.ExpansionKind.PSEUDO_GREEDY, 6,
+                                 digit_cap=3),
+        lambda: expansion.expand(Fraction(11, 29), expansion.ExpansionKind.PSEUDO_GREEDY, 6, 3),
+    ], ids=["keyword", "positional"])
+    def test_no_digit_cap_argument(self, call):
+        # the digit cap is a rule of the CLI; a fourth positional argument
+        # must not be read as stop_at_first_zero
+        with pytest.raises(TypeError):
+            call()
 
     def test_no_fully_modular_keyword(self):
         with pytest.raises(TypeError):
