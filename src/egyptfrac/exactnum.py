@@ -9,6 +9,8 @@ integer arithmetic, so every result is exact.
 
 Quadratic signs, floors and inverses read one integer view of a value,
 x = (A + B*sqrt(rad))/q with q the lcm of the denominators of a and b:
+sign(x) is that of A + B*sqrt(rad), which is the common sign of A and B when
+they do not disagree and otherwise the sign of A if A^2 > rad*B^2, else of B;
 floor(x) = (A + f) // q, where f = floor(B*sqrt(rad)) is r = isqrt(B^2*rad)
 for B >= 0 and -r - 1 for B < 0.
 
@@ -18,17 +20,19 @@ nearest-integer with ties toward +infinity: round(x) = floor(x + 1/2).
 Exact terms roughly square in size each step, so rendering them is a cost of
 its own: ``str(int)`` is quadratic in the number of digits and refuses values
 above the interpreter's int-to-string limit (4300 digits by default).
-:func:`int_to_decimal_str` renders integers above ``DECIMAL_PATH_BITS`` bits by
-divide and conquer in the ``decimal`` module instead, at maximum precision with
-``Inexact`` trapped, so a conversion that would round raises rather than print a
-wrong digit.  :func:`format_value` and :func:`to_decimal` go through it and
-render values of any size without ``sys.set_int_max_str_digits(0)``.  The
-conversion itself, :func:`_int_to_decimal`, returns the ``Decimal``, with which
-``expansion`` seeds the decimal arithmetic that renders an expansion's rows.
+:func:`int_to_decimal_str` prints the ``Decimal`` of :func:`_int_to_decimal`
+instead, which converts integers above ``DECIMAL_PATH_BITS`` bits by divide and
+conquer in the ``decimal`` module, at maximum precision with ``Inexact``
+trapped, so a conversion that would round raises rather than print a wrong
+digit.  :func:`format_value` and :func:`to_decimal` go through it and render
+values of any size without ``sys.set_int_max_str_digits(0)``.  ``expansion``
+seeds the decimal arithmetic that renders an expansion's rows with the same
+``Decimal``.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from decimal import (
@@ -71,6 +75,7 @@ def _integer_view(x: "QuadraticValue") -> tuple[int, int, int]:
     return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
 
 
+@functools.total_ordering
 class QuadraticValue:
     """An exact element ``a + b*sqrt(rad)`` of a real quadratic field.
 
@@ -78,14 +83,14 @@ class QuadraticValue:
     integer, so each value denotes a unique real number.  Arithmetic with
     ints, Fractions and same-radicand QuadraticValues is supported through
     the usual operators; mixing different radicands raises
-    :class:`~egyptfrac.errors.RadicandMismatch`.
+    :class:`~egyptfrac.errors.RadicandMismatch`.  ``rad`` follows the
+    integer-argument rule; a square radicand is a ValueError.
     """
 
     __slots__ = ("a", "b", "rad")
 
     def __init__(self, a, b, rad: int):
-        if not isinstance(rad, int) or rad < 1:
-            raise ValueError(f"radicand must be a positive integer, got {rad!r}")
+        rad = _integer("rad", rad, 1)
         if _is_square(rad):
             raise ValueError(f"radicand must not be a perfect square, got {rad}")
         object.__setattr__(self, "a", Fraction(a))
@@ -122,19 +127,16 @@ class QuadraticValue:
     def sign(self) -> int:
         """Sign of the real number a + b*sqrt(rad), decided exactly.
 
-        When a and b do not disagree in sign the answer is immediate;
-        otherwise compare a^2 against rad*b^2, cleared of denominators as the
-        ints (a.num*b.den)^2 and rad*(b.num*a.den)^2.  They are never equal,
-        since rad is not a square and a, b are both nonzero here.
+        It is the sign of A + B*sqrt(rad) in the integer view, and A, B have
+        the signs of a, b.  When they do not disagree the answer is immediate;
+        otherwise it is the sign of A if A^2 > rad*B^2, else that of B.  The
+        two are never equal, since rad is not a square and A, B != 0 here.
         """
-        a, b = self.a, self.b
-        sa, sb = _int_sign(a.numerator), _int_sign(b.numerator)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        a_sq = (a.numerator * b.denominator) ** 2
-        return sa if a_sq > self.rad * (b.numerator * a.denominator) ** 2 else sb
+        sa, sb = _int_sign(self.a.numerator), _int_sign(self.b.numerator)
+        if sa * sb >= 0:
+            return sa or sb
+        A, B, _ = _integer_view(self)
+        return sa if A * A > self.rad * B * B else sb
 
     # -- arithmetic -------------------------------------------------------
 
@@ -216,18 +218,6 @@ class QuadraticValue:
         c = self._cmp(other)
         return NotImplemented if c is None else c < 0
 
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
-
     def __hash__(self):
         # values with b == 0 are numerically rational and must hash like one
         if self.b == 0:
@@ -284,40 +274,31 @@ def sign_of(x) -> int:
     return x.sign() if isinstance(x, QuadraticValue) else _int_sign(x.numerator)
 
 
-def _quad_floor(x: QuadraticValue) -> int:
-    """Exact floor of a quadratic value, from its integer view alone.
+def floor_value(x) -> int:
+    """Floor of an exact value; the input goes through the exact-input rule.
 
-    Write x = (A + B*sqrt(rad))/q with integers A, B and q >= 1, and let
-    r = isqrt(B^2 * rad).  For B != 0, B*sqrt(rad) is irrational, so its
-    floor is r when B > 0 and -r - 1 when B < 0; for B = 0 it is 0 = r.
-    With N = A + floor(B*sqrt(rad)) and 0 <= t < 1 the fractional part,
-    floor((N + t)/q) = floor(N/q), because q*floor(N/q) <= N <= N + t <
-    N + 1 <= q*(floor(N/q) + 1).  So the floor is one integer division.
+    A rational is one integer division.  A quadratic value is read in its
+    integer view x = (A + B*sqrt(rad))/q with q >= 1; let r = isqrt(B^2*rad).
+    For B != 0, B*sqrt(rad) is irrational, so its floor is r when B > 0 and
+    -r - 1 when B < 0; for B = 0 it is 0 = r.  With N = A + floor(B*sqrt(rad))
+    and 0 <= t < 1 the fractional part, floor((N + t)/q) = floor(N/q), because
+    q*floor(N/q) <= N <= N + t < N + 1 <= q*(floor(N/q) + 1).  So the floor
+    is one integer division too.
     """
+    x = _exact(x)
+    if isinstance(x, Fraction):
+        return x.numerator // x.denominator
     A, B, q = _integer_view(x)
     r = isqrt(B * B * x.rad)
     return (A + (r if B >= 0 else -r - 1)) // q
 
 
 def nearest_int(x) -> int:
-    """Nearest integer floor(x + 1/2) to an exact value.
-
-    Exact ties round toward +infinity.  The input goes through the
-    exact-input rule first, so the result is always an int.
+    """Nearest integer to an exact value: the package's rounding rule
+    floor(x + 1/2), so exact ties round toward +infinity.  The input goes
+    through the exact-input rule first, so the result is always an int.
     """
-    x = _exact(x)
-    if isinstance(x, QuadraticValue):
-        return _quad_floor(x + Fraction(1, 2))
-    # floor(x + 1/2) via one integer floor division (denominator is > 0)
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
-def floor_value(x) -> int:
-    """Floor of an exact value; the input goes through the exact-input rule."""
-    x = _exact(x)
-    if isinstance(x, QuadraticValue):
-        return _quad_floor(x)
-    return x.numerator // x.denominator
+    return floor_value(_exact(x) + Fraction(1, 2))
 
 
 def ceil_value(x) -> int:
@@ -325,9 +306,9 @@ def ceil_value(x) -> int:
     return -floor_value(-_exact(x))
 
 
-# Integers with more bits than this are rendered through ``decimal``; read at
-# call time.  Below 14,000 bits str() is faster and every value has fewer than
-# 4300 digits, so the interpreter's default int-to-string limit never applies.
+# Integers with more bits than this are converted by the divide-and-conquer
+# split of ``_int_to_decimal``; read at call time.  Below 14,000 bits one
+# Decimal(n) is faster than the split.
 DECIMAL_PATH_BITS = 14_000
 _LEAF_BITS = 128  # pieces this small convert with Decimal(int) directly
 
@@ -380,16 +361,12 @@ def _int_to_decimal(n: int) -> Decimal:
 
 
 def int_to_decimal_str(n: int) -> str:
-    """Decimal text of an int, equal to ``str(n)`` for every size.
-
-    Values above ``DECIMAL_PATH_BITS`` bits are the ``str()`` of
-    :func:`_int_to_decimal`, so that a conversion that would round raises
-    rather than print a wrong digit.  ``n`` follows the integer-argument rule.
+    """Decimal text of an int, equal to ``str(n)`` for every size: the
+    ``str()`` of :func:`_int_to_decimal`, so that a conversion that would
+    round raises rather than print a wrong digit.  ``n`` follows the
+    integer-argument rule.
     """
-    n = _integer("n", n)
-    if n.bit_length() <= DECIMAL_PATH_BITS:
-        return str(n)
-    return str(_int_to_decimal(n))
+    return str(_int_to_decimal(_integer("n", n)))
 
 
 def to_decimal(x, digits: int) -> str:

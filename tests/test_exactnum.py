@@ -2,7 +2,9 @@ import decimal
 import functools
 import inspect
 import math
+import operator
 import random
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -28,7 +30,7 @@ from egyptfrac.exactnum import (
     to_decimal,
 )
 
-from oracles import interval_nearest_int, sqrt_bounds
+from oracles import interval_nearest_int, interval_sign, sqrt_bounds
 
 MILLIN_SUM = QuadraticValue(Fraction(5, 2), Fraction(-1, 2), 5)
 
@@ -88,14 +90,31 @@ class TestQuadArith:
             q5(1, 1) / q5(0, 0)
 
     def test_radicand_mismatch(self):
-        with pytest.raises(RadicandMismatch):
-            q5(1, 1) + QuadraticValue(1, 1, 2)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(RadicandMismatch):
+                op(q5(1, 1), QuadraticValue(1, 1, 2))
 
     def test_square_radicand_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^radicand must not be a perfect square, got 9$"):
             QuadraticValue(1, 1, 9)
-        with pytest.raises(ValueError):
-            QuadraticValue(1, 1, 0)
+
+    @pytest.mark.parametrize("rad", [0, -5])
+    def test_radicand_below_one_is_a_value_error(self, rad):
+        with pytest.raises(ValueError, match=rf"^rad must be >= 1, got {rad}$"):
+            QuadraticValue(1, 1, rad)
+
+    @pytest.mark.parametrize("rad", [5.0, "5", Fraction(5)], ids=repr)
+    def test_non_integer_radicand_is_a_type_error(self, rad):
+        with pytest.raises(TypeError, match=rf"^rad must be an integer, got {re.escape(repr(rad))}$"):
+            QuadraticValue(1, 1, rad)
+
+    def test_numpy_integer_radicand_is_its_plain_int(self):
+        np = pytest.importorskip("numpy")
+        x = QuadraticValue(1, 1, np.int64(5))
+        assert type(x.rad) is int
+        assert x == q5(1, 1)
+        assert format_value(x) == "(1+1 sqrt 5)/1"
 
     def test_mixed_with_fraction(self):
         x = Fraction(1, 3) + q5(0, Fraction(1, 10))
@@ -218,14 +237,22 @@ class TestQuadSign:
         st.fractions(max_denominator=1000, min_value=-100, max_value=100),
     )
     def test_sign_matches_interval_oracle(self, a, b):
-        x = q5(a, b)
-        if x.is_zero():
-            return
-        # the oracle brackets a + b*sqrt(5) between rationals
-        n = interval_nearest_int(a * 1000, b * 1000, 5)  # scale away near-zero values
-        scaled = x * 1000
-        if n != 0:
-            assert sign_of(scaled) == (1 if n > 0 else -1)
+        # the oracle brackets a + b*sqrt(d) between rationals
+        for d in (2, 3, 5, 7, 10, 9_999_999_999):
+            assert sign_of(QuadraticValue(a, b, d)) == interval_sign(a, b, d), d
+
+    # p - q*sqrt(d) with p^2 - d*q^2 = +-1: |value| < 1/p, so only
+    # A^2 against rad*B^2 decides the sign; the shared denominator 7 puts the
+    # same cancellation behind an lcm
+    @pytest.mark.parametrize("p, q, d", [
+        (99, 70, 2), (41, 29, 2), (26, 15, 3), (161, 72, 5), (682, 305, 5),
+        (8, 3, 7), (19, 6, 10), (100_000, 1, 9_999_999_999),
+    ])
+    @pytest.mark.parametrize("den", [1, 7])
+    @pytest.mark.parametrize("flip", [1, -1])
+    def test_sign_of_near_cancelling_values(self, p, q, d, den, flip):
+        a, b = Fraction(flip * p, den), Fraction(-flip * q, den)
+        assert sign_of(QuadraticValue(a, b, d)) == interval_sign(a, b, d)
 
 
 class TestQuadNearestInt:
