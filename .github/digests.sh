@@ -27,6 +27,11 @@ check recover "$(full recover)"
 egyptfrac gaps --r 185/358 --terms 20 --method both > "$tmp/gaps"
 check gaps "$(full gaps)"
 
+# the benchmark's recover is quadratic; a rational recover prints its rows
+# through expand's row-from-the-row-before path (Sylvester's sequence, 22 terms)
+egyptfrac recover --sum 1 --beta 1 --terms 22 --format csv > "$tmp/recover-rational"
+check recover-rational aeed394f12bceec7df7b9ef280f079753b5dc9031e52342a09ea641b40f1473f
+
 # the human tables, which the benchmark pins only for gaps --method both
 egyptfrac expand --r 185/358 --kind pseudo --terms 14 > "$tmp/expand-table"
 check expand-table cb8bb1fa8fdb7225d1c77c006622b81fa45e9c8b10d0f1323f22ce709863f456

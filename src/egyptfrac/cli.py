@@ -121,14 +121,26 @@ def _pretty(value) -> str:
     return num if den == 1 else f"{num}/{int_to_decimal_str(den)}"
 
 
+def _record_texts(records, digit_cap: int, with_x: bool = True):
+    """``(a, u, v, d)``, the text of each record of ``expand`` or ``recover``:
+    rational rows from ``_decimal_rows`` (d up to ``digit_cap`` digits), else
+    a quadratic x whole as u (None unless ``with_x``), and v = d = None."""
+    from fractions import Fraction
+
+    from .expansion import _decimal_rows
+
+    if isinstance(records[0].x, Fraction):
+        return _decimal_rows(records, digit_cap)
+    return ((int_to_decimal_str(rec.a), format_value(rec.x) if with_x else None, None, None)
+            for rec in records)
+
+
 # ---------------------------------------------------------------- expand --
 
 
 def _cmd_expand(args) -> int:
-    from fractions import Fraction
-
     from .exactnum import _integer
-    from .expansion import ExpansionKind, ExpansionStatus, _decimal_rows
+    from .expansion import ExpansionKind, ExpansionStatus
 
     digit_cap = _integer("digit_cap", args.digit_cap, 1)
     result = expand(
@@ -138,11 +150,7 @@ def _cmd_expand(args) -> int:
         stop_at_first_zero=args.stop_at_zero,
     )
     records = result.records
-    # (a, u, v, d) per record, x = u/v; a quadratic x comes whole as u
-    if isinstance(records[0].x, Fraction):
-        texts = _decimal_rows(records, digit_cap)
-    else:
-        texts = ((int_to_decimal_str(rec.a), format_value(rec.x), None, None) for rec in records)
+    texts = _record_texts(records, digit_cap)
 
     def table():
         return _table(["n", "a", "x", "eps", "c", "e", "d"], [
@@ -218,10 +226,14 @@ def _cmd_gaps(args) -> int:
         steps["fast"] = list(zip(fast.c, fast.e))
     if args.method != "fast":
         steps["naive"] = [(s.c, s.e) for s in gap_sequence_naive(p, q, args.terms)]
+        if len(steps["naive"]) < args.terms:  # only the digit limit stops it early
+            from .expansion import NAIVE_DIGIT_LIMIT
+            print(f"naive: stopped after {len(steps['naive'])} of {args.terms} terms, at the "
+                  f"{NAIVE_DIGIT_LIMIT}-digit limit on d_n", file=sys.stderr)
 
     if args.method == "both":
         # zip stops at the shorter list: the naive route may stop early, at
-        # its digit limit
+        # its digit limit, as stderr says above
         pairs = list(zip(steps["fast"], steps["naive"]))
         mismatches = [n for n, (f, s) in enumerate(pairs, start=1) if f != s]
         report = {
@@ -294,20 +306,19 @@ def _cmd_recover(args) -> int:
 
     def table():
         return _table(["n", "a", "delta~", "threshold_met"], [
-            [str(rec.n), int_to_decimal_str(rec.a), to_decimal(rec.eps, 10),
-             str(rec.a >= least)]
-            for rec in records
+            [str(rec.n), a, to_decimal(rec.eps, 10), str(rec.a >= least)]
+            for rec, (a, _, _, _) in zip(records, _record_texts(records, 0, with_x=False))
         ])
 
     rows = (
         {
             "n": rec.n,
-            "a": int_to_decimal_str(rec.a),
-            "x": format_value(rec.x),
+            "a": a,
+            "x": u if v is None else f"{u}/{v}",
             "delta": format_value(rec.eps),
             "threshold_met": rec.a >= least,
         }
-        for rec in records
+        for rec, (a, u, v, _) in zip(records, _record_texts(records, 0))
     )
     _emit(args.format, ["n", "a", "x", "delta", "threshold_met"], rows, table)
     return 0

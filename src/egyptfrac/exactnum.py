@@ -21,13 +21,14 @@ Exact terms roughly square in size each step, so rendering them is a cost of
 its own: ``str(int)`` is quadratic in the number of digits and refuses values
 above the interpreter's int-to-string limit (4300 digits by default).
 :func:`int_to_decimal_str` prints the ``Decimal`` of :func:`_int_to_decimal`
-instead, which converts integers above ``DECIMAL_PATH_BITS`` bits by divide and
-conquer in the ``decimal`` module, at maximum precision with ``Inexact``
-trapped, so a conversion that would round raises rather than print a wrong
-digit.  :func:`format_value` and :func:`to_decimal` go through it and render
-values of any size without ``sys.set_int_max_str_digits(0)``.  ``expansion``
-seeds the decimal arithmetic that renders an expansion's rows with the same
-``Decimal``.
+instead, which splits integers above ``DECIMAL_PATH_BITS`` bits, its one
+threshold, by divide and conquer in the ``decimal`` module, at maximum
+precision with ``Inexact`` trapped, so a conversion that would round raises
+rather than print a wrong digit.  :func:`format_value` and :func:`to_decimal`
+go through it and render values of any size without
+``sys.set_int_max_str_digits(0)``.  The CLI's ``expand`` and ``recover`` print
+a rational expansion's rows through ``expansion._decimal_rows``, which seeds
+its decimal arithmetic with the same ``Decimal``.
 """
 
 from __future__ import annotations
@@ -307,10 +308,9 @@ def ceil_value(x) -> int:
 
 
 # Integers with more bits than this are converted by the divide-and-conquer
-# split of ``_int_to_decimal``; read at call time.  Below 14,000 bits one
-# Decimal(n) is faster than the split.
+# split of ``_int_to_decimal``, down to pieces of at most this many bits; read
+# at call time.  Below 14,000 bits one Decimal(n) is faster than the split.
 DECIMAL_PATH_BITS = 14_000
-_LEAF_BITS = 128  # pieces this small convert with Decimal(int) directly
 
 
 def _exact_context() -> Context:
@@ -323,32 +323,26 @@ def _exact_context() -> Context:
 def _int_to_decimal(n: int) -> Decimal:
     """The exact ``Decimal`` of an int, the one binary-to-decimal conversion.
 
-    Large values are split at half their bit length, ``n = hi * 2**w + lo``,
-    and recombined in ``decimal`` arithmetic with memoised powers of two (the
-    subquadratic conversion CPython 3.12 adopted for ``str(int)``), in the
-    context of :func:`_exact_context`.
+    An int of more than ``DECIMAL_PATH_BITS`` bits is split at half its bit
+    length, ``n = hi * 2**w + lo``, down to pieces of at most that many bits,
+    each one ``Decimal(m)``, and recombined in ``decimal`` arithmetic with
+    memoised powers of two (the subquadratic conversion CPython 3.12 adopted
+    for ``str(int)``), in the context of :func:`_exact_context`.
+    ``DECIMAL_PATH_BITS`` must be at least 1: a split into 0-bit pieces never
+    ends.
     """
     if n.bit_length() <= DECIMAL_PATH_BITS:
         return Decimal(n)
-    two = Decimal(2)
-    pow2: dict[int, Decimal] = {}
 
+    @functools.cache
     def w2pow(w: int) -> Decimal:
-        result = pow2.get(w)
-        if result is None:
-            if w <= _LEAF_BITS:
-                result = two**w
-            elif w - 1 in pow2:
-                result = pow2[w - 1] + pow2[w - 1]
-            else:
-                # smaller half first, so an odd w finds w - 1 memoised
-                half = w >> 1
-                result = w2pow(half) * w2pow(w - half)
-            pow2[w] = result
-        return result
+        if w <= DECIMAL_PATH_BITS:
+            return Decimal(2)**w
+        half = w >> 1
+        return w2pow(half) * w2pow(w - half)
 
     def inner(m: int, w: int) -> Decimal:
-        if w <= _LEAF_BITS:
+        if w <= DECIMAL_PATH_BITS:
             return Decimal(m)
         w2 = w >> 1
         hi = m >> w2

@@ -19,7 +19,8 @@ for beta >= 1/2 every a_n exceeds 1/x_n > 0 and x_n - 1/a_n stays positive.
 
 Printing an expansion is a cost of its own: a_n and x_n have twice the digits
 of the row before, and a binary-to-decimal conversion of each costs
-O(M(n) log n).  :func:`_decimal_rows` converts only the first row and reads
+O(M(n) log n).  :func:`_decimal_rows`, through which the CLI's ``expand`` and
+``recover`` both print rational rows, converts only the first row and reads
 every later row off the one before it, in exact ``decimal`` arithmetic.  With
 x_n = u_n/v_n in lowest terms and r_n = v_n - u_n*a_n (a big number times a
 small one, so linear), every kind of expansion satisfies:
@@ -241,8 +242,9 @@ _CHECK_MODULUS = 2**61 - 1
 
 def _decimal_rows(records: list[ExpansionRecord], digit_cap: int):
     """Yield ``(a, u, v, d)``, the decimal text of each record of a rational
-    expansion, with x = u/v in lowest terms.  d is None where the record has
-    none or where it has more than ``digit_cap`` decimal digits: the cap
+    expansion (``expand``'s rows, or ``recover``'s), with x = u/v in lowest
+    terms.  d is None where the record has none or where it has more than
+    ``digit_cap`` decimal digits (at 0, no d and no digit count): the cap
     decides only what is printed, never what a record holds.
 
     Only the first row's v is converted from binary; later rows follow from
@@ -284,7 +286,7 @@ def _decimal_rows(records: list[ExpansionRecord], digit_cap: int):
         a_dec = exact_divide(n, "a", ctx.subtract(v_dec, _int_to_decimal(r)), u_dec)
         check(n, "a", a_dec, rec.a)
         d_text = None
-        if rec.d is not None and decimal_digits(rec.d) <= digit_cap:
+        if rec.d is not None and digit_cap and decimal_digits(rec.d) <= digit_cap:
             d_dec = exact_divide(n, "d", ctx.multiply(v_dec, _int_to_decimal(rec.c)), u_dec)
             check(n, "d", d_dec, rec.d)
             d_text = str(d_dec)

@@ -67,8 +67,8 @@ class GrowthEstimate(NamedTuple):
     """Estimate of the constant c(m) with s_n(m) ~ c(m)^(2^n).
 
     ``c_hat`` is exp(2^-depth * ln s_depth(m)), a float printed to 12
-    significant digits; the logarithm of the big integer is taken from its
-    bit length plus the leading 64 bits.  ``residual_bound`` is the tail
+    significant digits; ``math.log`` takes the logarithm of the exact big
+    integer, whatever its size.  ``residual_bound`` is the tail
     estimate c_hat * 2^-depth / s_depth(m) of the truncation at ``depth``
     only, rendered in scientific notation (it underflows floats quickly, so
     it is computed in log space); it does not cover the rounding of c_hat,
@@ -81,21 +81,12 @@ class GrowthEstimate(NamedTuple):
     residual_bound: str
 
 
-def _log_bigint(n: int) -> float:
-    """Natural log of a positive big integer from bit length + 64-bit mantissa."""
-    bits = n.bit_length()
-    if bits <= 64:
-        return math.log(n)
-    shift = bits - 64
-    return math.log(n >> shift) + shift * math.log(2)
-
-
 def growth_constant(m: int, depth: int) -> GrowthEstimate:
     """Growth-constant estimate c_hat = s_depth(m)^(2^-depth) with error bound."""
     depth = _integer("depth", depth, 4, 16)
     m = _integer("m", m, 1)
     s = sylvester_terms(m, depth)[-1]
-    ln_s = _log_bigint(s)
+    ln_s = math.log(s)
     c_hat = math.exp(ln_s / 2.0**depth)
     log10_res = math.log10(c_hat) - depth * math.log10(2) - ln_s / math.log(10)
     exp10 = math.floor(log10_res)

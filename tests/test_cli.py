@@ -14,8 +14,9 @@ from oracles import (
     no_str_digit_limit,
 )
 
-from egyptfrac import cli, exactnum, expansion
+from egyptfrac import cli, exactnum, expansion, recovery
 from egyptfrac.cli import main
+from egyptfrac.errors import RecoveryBreakdown
 
 
 def run_cli(capsys, *argv):
@@ -319,22 +320,44 @@ class TestGapsCommand:
     def test_both_stops_at_the_naive_digit_limit(self, capsys):
         # 185/358 reaches its zero gap at n = 20, two steps after d_n passes
         # the naive route's 10^5 digits
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "gaps", "--r", "185/358", "--terms", "20", "--method", "both",
         )
         assert code == 0
         assert out == "compared 18 terms: agree\n"
+        assert err == "naive: stopped after 18 of 20 terms, at the 100000-digit limit on d_n\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_naive_says_where_it_stopped(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "gaps", "--r", "185/358", "--terms", "20", "--method", "naive",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert err == "naive: stopped after 18 of 20 terms, at the 100000-digit limit on d_n\n"
+        assert len(out.splitlines()) == {"table": 2, "json": 0, "csv": 1}[fmt] + 18
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("method", ["both", "naive"])
+    def test_no_stop_line_when_every_term_is_there(self, capsys, fmt, method):
+        code, _, err = run_cli(
+            capsys, "gaps", "--r", "17/23", "--terms", "12", "--method", method,
+            "--format", fmt,
+        )
+        assert code == 0
+        assert err == ""
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_both_compares_the_naive_length(self, capsys, monkeypatch, fmt):
         monkeypatch.setattr(expansion, "NAIVE_DIGIT_LIMIT", 30)
         n = len(expansion.gap_sequence_naive(185, 358, 20))
         assert 0 < n < 20
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "gaps", "--r", "185/358", "--terms", "20", "--method", "both",
             "--format", fmt,
         )
         assert code == 0
+        assert err == f"naive: stopped after {n} of 20 terms, at the 30-digit limit on d_n\n"
         if fmt == "table":
             assert out == f"compared {n} terms: agree\n"
         elif fmt == "json":
@@ -462,6 +485,38 @@ class TestRecoverCommand:
         )
         assert code == 1
         assert "RecoveryBreakdown" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("beta", ["1", "1/2", "1/3", "0", "2", "3/4"])
+    @pytest.mark.parametrize("total", ["1", "1/2", "11/29", "185/358", "2/29", "5/7", "3"])
+    def test_rational_rows_match_binary_conversion(self, capsys, total, beta, fmt):
+        # rational rows are read off the row before; they must be the text
+        # of converting each record's a and x from binary
+        argv = ["recover", "--sum", total, "--beta", beta, "--terms", "9", "--format", fmt]
+        try:
+            records = recovery.recover_sequence(Fraction(total), Fraction(beta), 9)
+        except RecoveryBreakdown:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "") and "RecoveryBreakdown" in err
+            return
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if fmt == "json":
+            rows = [json.loads(line) for line in out.splitlines()]
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["a"], row["x"]) for row in rows] == [
+            (exactnum.int_to_decimal_str(rec.a), exactnum.format_value(rec.x)) for rec in records
+        ]
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_rational_rows_are_checked(self, capsys, monkeypatch, fmt):
+        records = recovery.recover_sequence(1, 1, 8)
+        doctored = list(records)
+        doctored[2] = records[2]._replace(a=records[2].a + 1)
+        monkeypatch.setattr(cli, "recover_sequence", lambda *args: doctored)
+        with pytest.raises(AssertionError, match=r"^row 4: "):
+            main(["recover", "--sum", "1", "--beta", "1", "--terms", "8", "--format", fmt])
 
 
 class TestTableRendersOnce:

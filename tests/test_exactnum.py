@@ -587,8 +587,19 @@ class TestIntToDecimalStr:
     @given(st.integers(-(2**600), 2**600))
     def test_decimal_path_on_small_values(self, n):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exactnum, "DECIMAL_PATH_BITS", 0)
+            mp.setattr(exactnum, "DECIMAL_PATH_BITS", 1)
             assert int_to_decimal_str(n) == str(n)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 64, 14_000])
+    def test_split_edges_match_str(self, t, monkeypatch):
+        # around one and two pieces of the split, at any threshold t >= 1
+        monkeypatch.setattr(exactnum, "DECIMAL_PATH_BITS", t)
+        rng = random.Random(t)
+        with str_limit(0):
+            for bits in (t - 1, t, t + 1, 2 * t, 2 * t + 1):
+                for n in {2**bits - 1, 2**bits, rng.getrandbits(bits) | 2 ** max(bits - 1, 0)}:
+                    for value in (n, -n):
+                        assert str(exactnum._int_to_decimal(value)) == str(value), (t, bits)
 
     def test_rounding_raises_instead_of_printing(self, monkeypatch):
         # with too little precision the Inexact trap must fire

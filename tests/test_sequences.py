@@ -154,6 +154,18 @@ class TestGrowthConstant:
         bound = float(growth_constant(1, 8).residual_bound)
         assert abs(c8 - c12) <= bound + 1e-15  # float noise floor
 
+    @pytest.mark.parametrize("m, depth, c_hat, residual_bound", [
+        (1, 16, "1.26408473531", "1.91e-6675"),
+        (2, 12, "1.59791021803", "6.93e-838"),
+        (3, 4, "1.88068094319", "4.80e-6"),
+        (7, 9, "2.74167747444", "2.91e-227"),
+        (50, 16, "7.10650938732", "7.69e-55819"),
+        (199, 14, "14.1244690723", "6.20e-18845"),
+    ])
+    def test_pinned_strings(self, m, depth, c_hat, residual_bound):
+        # the logarithm is a float: these strings hold on Python 3.10-3.13
+        assert growth_constant(m, depth) == (m, depth, c_hat, residual_bound)
+
     def test_depth_range(self):
         # the integer-argument rule's ValueError: DepthExceeded means a term
         # past the term cap only
